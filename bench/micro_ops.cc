@@ -22,6 +22,7 @@
 #include "ml/forest_kernel.h"
 #include "ml/random_forest.h"
 #include "stats/hypothesis.h"
+#include "stats/quantile_sketch.h"
 
 namespace bbv::bench {
 namespace {
@@ -46,6 +47,36 @@ void BM_PredictionStatistics(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PredictionStatistics)->Arg(1000)->Arg(10000);
+
+void BM_SketchQuantiles(benchmark::State& state) {
+  // The per-request percentile read of Algorithm 2: the predictor's 29
+  // points on one populated column sketch of the default 4097-cell grid.
+  common::Rng rng(7);
+  stats::QuantileSketch sketch;
+  for (int i = 0; i < 100000; ++i) sketch.Add(rng.Uniform());
+  const std::vector<double> points = core::DefaultPercentilePoints();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sketch.Quantiles(points));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(points.size()));
+}
+BENCHMARK(BM_SketchQuantiles);
+
+void BM_SketchBankObserve(benchmark::State& state) {
+  // The per-request ingest of Algorithm 2: one 100-row, 2-class batch of
+  // probabilities into a bank (finiteness scan plus one row-major pass).
+  common::Rng rng(8);
+  const linalg::Matrix probabilities = MakeProbabilities(100, rng);
+  stats::QuantileSketchBank bank;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bank.Observe(probabilities));
+  }
+  benchmark::DoNotOptimize(bank.rows_observed());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(probabilities.rows()));
+}
+BENCHMARK(BM_SketchBankObserve);
 
 void BM_TwoSampleKsTest(benchmark::State& state) {
   common::Rng rng(2);

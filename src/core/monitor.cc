@@ -128,19 +128,19 @@ common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
   if (probabilities.rows() == 0) {
     return common::Status::InvalidArgument("empty serving batch");
   }
+  stats::QuantileSketch::Options sketch_options;
+  sketch_options.resolution_bits = options_.sketch_resolution_bits;
+  stats::QuantileSketchBank batch_bank(0, sketch_options);
   if (windowed()) {
-    // The sketch ring treats non-finite input as a programming error; a
-    // serving stream must degrade recoverably, so reject it up front.
-    for (size_t i = 0; i < probabilities.rows(); ++i) {
-      const double* row = probabilities.RowData(i);
-      for (size_t k = 0; k < probabilities.cols(); ++k) {
-        if (!std::isfinite(row[k])) {
-          common::telemetry::IncrementCounter("monitor.nonfinite_inputs");
-          return common::Status::InvalidArgument(
-              "serving batch contains a non-finite probability at row " +
-              std::to_string(i));
-        }
-      }
+    // A serving stream must degrade recoverably, so sketch the batch up
+    // front: Observe scans it once and rejects NaN/Inf (its only failure on
+    // a non-empty batch into a fresh bank) before any other work.
+    const common::Status observed = batch_bank.Observe(probabilities);
+    if (!observed.ok()) {
+      common::telemetry::IncrementCounter("monitor.nonfinite_inputs");
+      std::string message = "serving batch contains a ";
+      message += observed.message();
+      return common::Status::InvalidArgument(std::move(message));
     }
   }
   BBV_ASSIGN_OR_RETURN(ScoreEstimate estimate,
@@ -161,15 +161,11 @@ common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
   report.certified_drop =
       (report.reference_score - estimate.hi) / report.reference_score;
   if (windowed()) {
-    // Sketch this batch, merge it with the most recent window_batches - 1
+    // Merge this batch's sketch with the most recent window_batches - 1
     // retained banks, and alarm on the estimate over that merged summary —
     // recent traffic, not all-time aggregates. The ring is only committed
     // once the windowed estimate is known to be sound, so a failed batch
     // never pollutes the window.
-    stats::QuantileSketch::Options sketch_options;
-    sketch_options.resolution_bits = options_.sketch_resolution_bits;
-    stats::QuantileSketchBank batch_bank(0, sketch_options);
-    BBV_RETURN_NOT_OK(batch_bank.Observe(probabilities));
     stats::QuantileSketchBank merged = batch_bank;
     const size_t prior =
         std::min(window_.size(), options_.window_batches - 1);

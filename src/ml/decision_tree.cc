@@ -467,11 +467,17 @@ common::Result<RegressionTree> RegressionTree::Load(
     node.right = rights[i];
     node.threshold = thresholds[i];
     node.value = values[i];
-    // Internal nodes must reference valid children.
+    // The trainer writes nodes in pre-order, so an internal node's
+    // children come after it. Requiring that also rules out cycles, which
+    // would make every prediction walk loop forever.
+    const auto parent = static_cast<int32_t>(i);
     if (node.feature >= 0 &&
-        (node.left < 0 || node.left >= node_count || node.right < 0 ||
-         node.right >= node_count)) {
+        (node.left <= parent || node.left >= node_count ||
+         node.right <= parent || node.right >= node_count)) {
       return common::Status::InvalidArgument("corrupt tree child index");
+    }
+    if (!std::isfinite(node.threshold)) {
+      return common::Status::InvalidArgument("non-finite tree threshold");
     }
   }
   return tree;

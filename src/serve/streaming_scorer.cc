@@ -1,7 +1,6 @@
 #include "serve/streaming_scorer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -55,20 +54,15 @@ common::Status StreamingScorer::Ingest(const linalg::Matrix& probabilities) {
         " classes but the predictor was trained on " +
         std::to_string(expected_classes()));
   }
-  // Reject NaN/Inf up front: the sketches treat non-finite input as a
-  // programming error, but a serving stream must degrade recoverably.
-  for (size_t i = 0; i < probabilities.rows(); ++i) {
-    const double* row = probabilities.RowData(i);
-    for (size_t k = 0; k < probabilities.cols(); ++k) {
-      if (!std::isfinite(row[k])) {
-        common::telemetry::IncrementCounter("serve.nonfinite_batches");
-        return common::Status::InvalidArgument(
-            "mini-batch contains a non-finite probability at row " +
-            std::to_string(i));
-      }
-    }
+  // The shape checks above leave NaN/Inf as the bank's only rejection; it
+  // scans the batch once and changes nothing when it rejects.
+  const common::Status observed = bank_.Observe(probabilities);
+  if (!observed.ok()) {
+    common::telemetry::IncrementCounter("serve.nonfinite_batches");
+    std::string message = "mini-batch contains a ";
+    message += observed.message();
+    return common::Status::InvalidArgument(std::move(message));
   }
-  BBV_RETURN_NOT_OK(bank_.Observe(probabilities));
   ++batches_ingested_;
   common::telemetry::IncrementCounter("serve.batches");
   common::telemetry::IncrementCounter("serve.rows", probabilities.rows());

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/serialize.h"
 #include "common/telemetry.h"
 
@@ -36,7 +36,9 @@ QuantileSketch::QuantileSketch(Options options) : options_(options) {
   BBV_CHECK(std::isfinite(options_.lo) && std::isfinite(options_.hi) &&
             options_.lo < options_.hi)
       << "sketch domain must be a finite non-empty interval";
-  cells_.assign((size_t{1} << options_.resolution_bits) + 1, 0);
+  num_cells_ = (size_t{1} << options_.resolution_bits) + 1;
+  const size_t num_blocks = (num_cells_ + kBlockCells - 1) / kBlockCells;
+  counts_.assign(num_cells_ + num_blocks, 0);
 }
 
 size_t QuantileSketch::CellIndex(double value) const {
@@ -45,8 +47,11 @@ size_t QuantileSketch::CellIndex(double value) const {
       (clamped - options_.lo) / (options_.hi - options_.lo);
   const double scaled =
       unit * static_cast<double>(size_t{1} << options_.resolution_bits);
-  const size_t index = static_cast<size_t>(std::llround(scaled));
-  return std::min(index, cells_.size() - 1);
+  // Round half away from zero, as std::llround does: `scaled` lies in
+  // [0, 2^24], where truncation and the fractional part are exact.
+  size_t index = static_cast<size_t>(scaled);
+  if (scaled - static_cast<double>(index) >= 0.5) ++index;
+  return std::min(index, num_cells_ - 1);
 }
 
 double QuantileSketch::CellValue(size_t index) const {
@@ -58,8 +63,13 @@ double QuantileSketch::CellValue(size_t index) const {
 
 void QuantileSketch::Add(double value, uint64_t weight) {
   BBV_CHECK(std::isfinite(value)) << "QuantileSketch::Add of NaN/Inf";
-  if (weight == 0) return;
-  cells_[CellIndex(value)] += weight;
+  AddUnchecked(value, weight);
+}
+
+void QuantileSketch::AddUnchecked(double value, uint64_t weight) {
+  const size_t cell = CellIndex(value);
+  counts_[cell] += weight;
+  counts_[num_cells_ + cell / kBlockCells] += weight;
   count_ += weight;
 }
 
@@ -69,8 +79,9 @@ common::Status QuantileSketch::Merge(const QuantileSketch& other) {
         "QuantileSketch::Merge requires identical grids (resolution and "
         "domain)");
   }
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    cells_[i] += other.cells_[i];
+  // Same grid, same layout: cells and block sums add element-wise.
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    counts_[i] += other.counts_[i];
   }
   count_ += other.count_;
   return common::Status::OK();
@@ -80,6 +91,25 @@ double QuantileSketch::Quantile(double q) const {
   return Quantiles({q}).front();
 }
 
+size_t QuantileSketch::SelectCell(uint64_t rank, size_t& cell,
+                                  uint64_t& below) const {
+  BBV_DCHECK(rank < count_);
+  while (true) {
+    // At a block boundary `below` is the mass before the block: skip every
+    // block that ends at or before `rank`.
+    if (cell % kBlockCells == 0) {
+      while (below + BlockSum(cell) <= rank) {
+        below += BlockSum(cell);
+        cell += kBlockCells;
+      }
+    }
+    BBV_DCHECK(cell < num_cells_);
+    if (rank < below + counts_[cell]) return cell;
+    below += counts_[cell];
+    ++cell;
+  }
+}
+
 std::vector<double> QuantileSketch::Quantiles(
     const std::vector<double>& qs) const {
   BBV_CHECK(count_ > 0) << "Quantile of an empty sketch";
@@ -87,54 +117,30 @@ std::vector<double> QuantileSketch::Quantiles(
       << "percentile points must be ascending";
   // Interpolation positions over the expanded multiset, mirroring
   // stats::SortedView::Percentile: position p = q/100 * (n-1), interpolate
-  // between the order statistics at floor(p) and ceil(p).
-  struct Query {
-    size_t lower_rank = 0;
-    size_t upper_rank = 0;
-    double weight = 0.0;
-    double lower_value = 0.0;
-    double upper_value = 0.0;
-  };
-  std::vector<Query> queries(qs.size());
+  // between the order statistics at floor(p) and ceil(p). Rank r lives in
+  // the first cell whose inclusive cumulative weight exceeds r. Lower ranks
+  // ascend with q, so one cursor serves them all; each upper rank continues
+  // from a copy of it.
+  std::vector<double> out(qs.size());
+  size_t cell = 0;
+  uint64_t below = 0;
   for (size_t i = 0; i < qs.size(); ++i) {
     const double q = qs[i];
     BBV_CHECK(q >= 0.0 && q <= 100.0) << "percentile out of [0, 100]: " << q;
     const double position = (q / 100.0) * static_cast<double>(count_ - 1);
-    queries[i].lower_rank = static_cast<size_t>(std::floor(position));
-    queries[i].upper_rank = static_cast<size_t>(std::ceil(position));
-    queries[i].weight =
-        position - static_cast<double>(queries[i].lower_rank);
-  }
-  // One cumulative pass resolves every needed order statistic: rank r lives
-  // in the first cell whose inclusive cumulative weight exceeds r.
-  size_t next = 0;  // queries with lower_rank not yet resolved
-  size_t next_upper = 0;
-  uint64_t cumulative = 0;
-  for (size_t cell = 0; cell < cells_.size(); ++cell) {
-    if (cells_[cell] == 0) continue;
-    cumulative += cells_[cell];
-    const double value = CellValue(cell);
-    while (next < queries.size() && queries[next].lower_rank < cumulative) {
-      queries[next].lower_value = value;
-      ++next;
+    const auto lower_rank = static_cast<uint64_t>(std::floor(position));
+    const auto upper_rank = static_cast<uint64_t>(std::ceil(position));
+    const double weight = position - static_cast<double>(lower_rank);
+    const double lower_value = CellValue(SelectCell(lower_rank, cell, below));
+    if (lower_rank == upper_rank) {
+      out[i] = lower_value;
+      continue;
     }
-    while (next_upper < queries.size() &&
-           queries[next_upper].upper_rank < cumulative) {
-      queries[next_upper].upper_value = value;
-      ++next_upper;
-    }
-    if (next == queries.size() && next_upper == queries.size()) break;
-  }
-  BBV_DCHECK(next == queries.size() && next_upper == queries.size());
-  std::vector<double> out(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const Query& query = queries[i];
-    if (query.lower_rank == query.upper_rank) {
-      out[i] = query.lower_value;
-    } else {
-      out[i] = query.lower_value * (1.0 - query.weight) +
-               query.upper_value * query.weight;
-    }
+    size_t upper_cell = cell;
+    uint64_t upper_below = below;
+    const double upper_value =
+        CellValue(SelectCell(upper_rank, upper_cell, upper_below));
+    out[i] = lower_value * (1.0 - weight) + upper_value * weight;
   }
   return out;
 }
@@ -142,24 +148,29 @@ std::vector<double> QuantileSketch::Quantiles(
 double QuantileSketch::Cdf(double x) const {
   BBV_CHECK(count_ > 0) << "Cdf of an empty sketch";
   if (x < options_.lo) return 0.0;
-  const size_t limit = std::min(CellIndex(x), cells_.size() - 1);
+  // Mass at grid point `cell` has quantized value CellValue(cell) <= the
+  // quantized x, so it counts as <= x in the quantized distribution: sum
+  // the whole blocks before x's cell, then the cells of its block up to it.
+  const size_t limit = CellIndex(x);
+  const size_t first_in_block = limit - limit % kBlockCells;
   uint64_t below = 0;
-  for (size_t cell = 0; cell <= limit; ++cell) {
-    // Mass at grid point `cell` has quantized value CellValue(cell) <= the
-    // quantized x, so it counts as <= x in the quantized distribution.
-    below += cells_[cell];
+  for (size_t block = 0; block < first_in_block / kBlockCells; ++block) {
+    below += counts_[num_cells_ + block];
+  }
+  for (size_t cell = first_in_block; cell <= limit; ++cell) {
+    below += counts_[cell];
   }
   return static_cast<double>(below) / static_cast<double>(count_);
 }
 
 size_t QuantileSketch::num_nonzero_cells() const {
-  return static_cast<size_t>(
-      std::count_if(cells_.begin(), cells_.end(),
-                    [](uint64_t weight) { return weight > 0; }));
+  const std::span<const uint64_t> cells = cell_counts();
+  return static_cast<size_t>(std::count_if(
+      cells.begin(), cells.end(), [](uint64_t weight) { return weight > 0; }));
 }
 
 size_t QuantileSketch::MemoryBytes() const {
-  return sizeof(QuantileSketch) + cells_.capacity() * sizeof(uint64_t);
+  return sizeof(QuantileSketch) + counts_.capacity() * sizeof(uint64_t);
 }
 
 double QuantileSketch::CellWidth() const {
@@ -175,10 +186,10 @@ common::Status QuantileSketch::Save(std::ostream& out) const {
   writer.WriteDouble(options_.hi);
   writer.WriteUint64(count_);
   writer.WriteUint64(num_nonzero_cells());
-  for (size_t cell = 0; cell < cells_.size(); ++cell) {
-    if (cells_[cell] == 0) continue;
+  for (size_t cell = 0; cell < num_cells_; ++cell) {
+    if (counts_[cell] == 0) continue;
     writer.WriteUint64(cell);
-    writer.WriteUint64(cells_[cell]);
+    writer.WriteUint64(counts_[cell]);
   }
   return writer.status();
 }
@@ -201,17 +212,31 @@ common::Result<QuantileSketch> QuantileSketch::Load(std::istream& in) {
   QuantileSketch sketch(options);
   BBV_ASSIGN_OR_RETURN(uint64_t total, reader.ReadUint64());
   BBV_ASSIGN_OR_RETURN(uint64_t nonzero, reader.ReadUint64());
-  if (nonzero > sketch.cells_.size()) {
+  if (nonzero > sketch.num_cells_) {
     return common::Status::InvalidArgument("corrupt sketch cell count");
   }
+  // Canonical streams list cells in strictly ascending order. A repeated or
+  // out-of-order cell would make the cells disagree with `total` (and with
+  // the block sums), so Quantiles would read past the mass.
   uint64_t sum = 0;
+  uint64_t previous_cell = 0;
   for (uint64_t i = 0; i < nonzero; ++i) {
     BBV_ASSIGN_OR_RETURN(uint64_t cell, reader.ReadUint64());
     BBV_ASSIGN_OR_RETURN(uint64_t weight, reader.ReadUint64());
-    if (cell >= sketch.cells_.size() || weight == 0) {
+    if (cell >= sketch.num_cells_ || weight == 0) {
       return common::Status::InvalidArgument("corrupt sketch cell entry");
     }
-    sketch.cells_[cell] = weight;
+    if (i > 0 && cell <= previous_cell) {
+      return common::Status::InvalidArgument(
+          "sketch cells are not in strictly ascending order");
+    }
+    if (weight > std::numeric_limits<uint64_t>::max() - sum) {
+      return common::Status::InvalidArgument(
+          "sketch cell weights overflow the total");
+    }
+    previous_cell = cell;
+    sketch.counts_[cell] = weight;
+    sketch.counts_[sketch.num_cells_ + cell / kBlockCells] += weight;
     sum += weight;
   }
   if (sum != total) {
@@ -265,27 +290,34 @@ common::Status QuantileSketchBank::Observe(const linalg::Matrix& values) {
     return common::Status::InvalidArgument(
         "QuantileSketchBank::Observe on an empty batch");
   }
+  if (!sketches_.empty() && values.cols() != sketches_.size()) {
+    return common::Status::InvalidArgument(
+        "batch has " + std::to_string(values.cols()) +
+        " columns but the bank tracks " + std::to_string(sketches_.size()));
+  }
+  // The one finiteness scan of the batch, before any state changes.
+  for (size_t i = 0; i < values.rows(); ++i) {
+    const double* row = values.RowData(i);
+    for (size_t k = 0; k < values.cols(); ++k) {
+      if (!std::isfinite(row[k])) {
+        return common::Status::InvalidArgument(
+            "non-finite probability at row " + std::to_string(i));
+      }
+    }
+  }
   if (sketches_.empty()) {
     // First batch fixes the width of a default-constructed bank.
     sketches_.reserve(values.cols());
     for (size_t k = 0; k < values.cols(); ++k) {
       sketches_.emplace_back(options_);
     }
-  } else if (values.cols() != sketches_.size()) {
-    return common::Status::InvalidArgument(
-        "batch has " + std::to_string(values.cols()) +
-        " columns but the bank tracks " + std::to_string(sketches_.size()));
   }
-  // Column sketches are independent: each task touches only its own sketch,
-  // so results are bit-identical at every thread count.
-  BBV_RETURN_NOT_OK(common::ParallelFor(
-      sketches_.size(), [&](size_t k) -> common::Status {
-        QuantileSketch& sketch = sketches_[k];
-        for (size_t i = 0; i < values.rows(); ++i) {
-          sketch.Add(values.At(i, k));
-        }
-        return common::Status::OK();
-      }));
+  for (size_t i = 0; i < values.rows(); ++i) {
+    const double* row = values.RowData(i);
+    for (size_t k = 0; k < values.cols(); ++k) {
+      sketches_[k].AddUnchecked(row[k], 1);
+    }
+  }
   rows_observed_ += values.rows();
   common::telemetry::IncrementCounter("sketch_bank.rows", values.rows());
   return common::Status::OK();

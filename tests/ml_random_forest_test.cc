@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <sstream>
+#include <string>
 
 #include "common/rng.h"
+#include "common/serialize.h"
 
 namespace bbv::ml {
 namespace {
@@ -97,6 +101,68 @@ TEST(RandomForestTest, RejectsMalformedInputs) {
   options.num_trees = 0;
   RandomForestRegressor empty_forest(options);
   EXPECT_FALSE(empty_forest.Fit(features, {1.0, 2.0, 3.0}, rng).ok());
+}
+
+/// A forest archive holding one tree whose node arrays are given directly;
+/// node i predicts the value i.
+std::string OneTreeForest(const std::vector<int32_t>& features,
+                          const std::vector<int32_t>& lefts,
+                          const std::vector<int32_t>& rights,
+                          const std::vector<double>& thresholds) {
+  std::ostringstream out;
+  common::BinaryWriter writer(out);
+  writer.WriteMagic("BBVRF", 1);
+  writer.WriteUint64(1);
+  writer.WriteInt32Vector(features);
+  writer.WriteInt32Vector(lefts);
+  writer.WriteInt32Vector(rights);
+  writer.WriteDoubleVector(thresholds);
+  std::vector<double> values(features.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<double>(i);
+  }
+  writer.WriteDoubleVector(values);
+  BBV_CHECK(writer.status().ok());
+  return out.str();
+}
+
+common::Status LoadStatus(const std::string& bytes) {
+  std::istringstream in(bytes);
+  return RandomForestRegressor::Load(in).status();
+}
+
+// A tree whose child points back at its parent used to load, and every
+// prediction on it then looped forever. This test asserts the Status; the
+// ctest TIMEOUT on this binary turns a regression into a failure, not a hang.
+TEST(RandomForestTest, LoadRejectsCyclicTreesAndNonFiniteThresholds) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Root lists itself as its left child.
+  EXPECT_EQ(LoadStatus(OneTreeForest({0, -1}, {0, -1}, {1, -1}, {0.5, 0.0}))
+                .code(),
+            common::StatusCode::kInvalidArgument);
+  // Node 1 points back at the root.
+  EXPECT_EQ(LoadStatus(OneTreeForest({0, 1, -1}, {1, 0, -1}, {2, 2, -1},
+                                     {0.5, 0.5, 0.0}))
+                .code(),
+            common::StatusCode::kInvalidArgument);
+  // Non-finite thresholds, on an internal node and on a leaf.
+  EXPECT_EQ(LoadStatus(OneTreeForest({0, -1, -1}, {1, -1, -1}, {2, -1, -1},
+                                     {nan, 0.0, 0.0}))
+                .code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadStatus(OneTreeForest({0, -1, -1}, {1, -1, -1}, {2, -1, -1},
+                                     {0.5, 0.0, inf}))
+                .code(),
+            common::StatusCode::kInvalidArgument);
+
+  // The same shape in pre-order with finite thresholds loads and predicts.
+  std::istringstream in(
+      OneTreeForest({0, -1, -1}, {1, -1, -1}, {2, -1, -1}, {0.5, 0.0, 0.0}));
+  const auto forest = RandomForestRegressor::Load(in);
+  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+  const double row[1] = {0.25};
+  EXPECT_DOUBLE_EQ(forest->PredictRow(row), 1.0);
 }
 
 TEST(RandomForestDeathTest, PredictBeforeFitDies) {

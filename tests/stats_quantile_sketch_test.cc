@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -193,6 +197,248 @@ TEST(QuantileSketchTest, LoadRejectsCorruptStreams) {
   EXPECT_FALSE(QuantileSketch::Load(corrupted).ok());
 }
 
+/// A sketch stream on the default grid with the given (cell, weight)
+/// entries written verbatim, canonical or not.
+std::string SketchStream(
+    uint64_t total, const std::vector<std::pair<uint64_t, uint64_t>>& cells) {
+  const QuantileSketch::Options options;
+  std::ostringstream out;
+  common::BinaryWriter writer(out);
+  writer.WriteMagic("BBVQS", 1);
+  writer.WriteInt32(options.resolution_bits);
+  writer.WriteDouble(options.lo);
+  writer.WriteDouble(options.hi);
+  writer.WriteUint64(total);
+  writer.WriteUint64(cells.size());
+  for (const auto& [cell, weight] : cells) {
+    writer.WriteUint64(cell);
+    writer.WriteUint64(weight);
+  }
+  BBV_CHECK(writer.status().ok());
+  return out.str();
+}
+
+common::StatusCode LoadCode(const std::string& bytes) {
+  std::istringstream in(bytes);
+  return QuantileSketch::Load(in).status().code();
+}
+
+TEST(QuantileSketchTest, LoadRejectsNonCanonicalCellLists) {
+  // A repeated cell: the cells would sum to 5 while count() claims 10, and
+  // Quantiles would return non-monotone values past the mass.
+  EXPECT_EQ(LoadCode(SketchStream(10, {{100, 5}, {100, 5}})),
+            common::StatusCode::kInvalidArgument);
+  // Descending cells: Save writes them ascending, so this is not canonical.
+  EXPECT_EQ(LoadCode(SketchStream(10, {{200, 5}, {100, 5}})),
+            common::StatusCode::kInvalidArgument);
+  // Weights whose sum wraps around to the stored total.
+  const uint64_t half = uint64_t{1} << 63;
+  EXPECT_EQ(LoadCode(SketchStream(10, {{1, half}, {2, half}, {3, 10}})),
+            common::StatusCode::kInvalidArgument);
+  // The canonical form of the same multiset loads and answers sensibly.
+  std::istringstream in(SketchStream(10, {{100, 5}, {200, 5}}));
+  const auto loaded = QuantileSketch::Load(in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::vector<double> quantiles = loaded->Quantiles({0.0, 50.0, 100.0});
+  EXPECT_TRUE(std::is_sorted(quantiles.begin(), quantiles.end()));
+  EXPECT_DOUBLE_EQ(quantiles.front(), 100.0 / 4096.0);
+  EXPECT_DOUBLE_EQ(quantiles.back(), 200.0 / 4096.0);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the full-grid cumulative scan that Quantiles and Cdf used before
+// block sums. The block-sum path must agree with it bit for bit.
+// ---------------------------------------------------------------------------
+
+double OracleCellValue(const QuantileSketch::Options& options, size_t index) {
+  const double unit =
+      static_cast<double>(index) /
+      static_cast<double>(size_t{1} << options.resolution_bits);
+  return options.lo + unit * (options.hi - options.lo);
+}
+
+size_t OracleCellIndex(const QuantileSketch::Options& options, double value) {
+  const double clamped = std::clamp(value, options.lo, options.hi);
+  const double unit = (clamped - options.lo) / (options.hi - options.lo);
+  const double scaled =
+      unit * static_cast<double>(size_t{1} << options.resolution_bits);
+  const auto index = static_cast<size_t>(std::llround(scaled));
+  return std::min(index, size_t{1} << options.resolution_bits);
+}
+
+std::vector<double> OracleQuantiles(const QuantileSketch& sketch,
+                                    const std::vector<double>& qs) {
+  const std::span<const uint64_t> cells = sketch.cell_counts();
+  std::vector<size_t> lower(qs.size());
+  std::vector<size_t> upper(qs.size());
+  std::vector<double> weight(qs.size());
+  std::vector<double> lower_value(qs.size());
+  std::vector<double> upper_value(qs.size());
+  for (size_t i = 0; i < qs.size(); ++i) {
+    const double position =
+        (qs[i] / 100.0) * static_cast<double>(sketch.count() - 1);
+    lower[i] = static_cast<size_t>(std::floor(position));
+    upper[i] = static_cast<size_t>(std::ceil(position));
+    weight[i] = position - static_cast<double>(lower[i]);
+  }
+  size_t next = 0;
+  size_t next_upper = 0;
+  uint64_t cumulative = 0;
+  for (size_t cell = 0; cell < cells.size(); ++cell) {
+    if (cells[cell] == 0) continue;
+    cumulative += cells[cell];
+    const double value = OracleCellValue(sketch.options(), cell);
+    while (next < qs.size() && lower[next] < cumulative) {
+      lower_value[next++] = value;
+    }
+    while (next_upper < qs.size() && upper[next_upper] < cumulative) {
+      upper_value[next_upper++] = value;
+    }
+  }
+  std::vector<double> out(qs.size());
+  for (size_t i = 0; i < qs.size(); ++i) {
+    out[i] = lower[i] == upper[i] ? lower_value[i]
+                                  : lower_value[i] * (1.0 - weight[i]) +
+                                        upper_value[i] * weight[i];
+  }
+  return out;
+}
+
+double OracleCdf(const QuantileSketch& sketch, double x) {
+  if (x < sketch.options().lo) return 0.0;
+  const std::span<const uint64_t> cells = sketch.cell_counts();
+  const size_t limit = OracleCellIndex(sketch.options(), x);
+  uint64_t below = 0;
+  for (size_t cell = 0; cell <= limit; ++cell) below += cells[cell];
+  return static_cast<double>(below) / static_cast<double>(sketch.count());
+}
+
+/// Sketches over one grid covering the shapes the block-sum path must get
+/// right: clustered near 0 and 1, uniform, all mass in one cell, mass only
+/// in the lone last cell, a single value, weighted Adds, and sketches built
+/// by Merge and by Load.
+std::vector<std::pair<std::string, QuantileSketch>> OracleSketches(
+    const QuantileSketch::Options& options, common::Rng& rng) {
+  std::vector<std::pair<std::string, QuantileSketch>> out;
+  const auto add = [&](const std::string& name, auto fill) {
+    QuantileSketch sketch(options);
+    fill(sketch);
+    out.emplace_back(name, std::move(sketch));
+  };
+  add("clustered", [&](QuantileSketch& sketch) {
+    for (int i = 0; i < 3000; ++i) {
+      const double u = rng.Uniform();
+      sketch.Add(u < 0.5 ? u * u * u : 1.0 - (1.0 - u) * (1.0 - u) * (1.0 - u));
+    }
+  });
+  add("uniform", [&](QuantileSketch& sketch) {
+    for (int i = 0; i < 3000; ++i) sketch.Add(rng.Uniform());
+  });
+  add("one_cell", [&](QuantileSketch& sketch) {
+    for (int i = 0; i < 500; ++i) sketch.Add(0.3);
+  });
+  add("last_cell", [&](QuantileSketch& sketch) {
+    for (int i = 0; i < 77; ++i) sketch.Add(1.0);
+  });
+  add("edges", [&](QuantileSketch& sketch) {
+    sketch.Add(0.0, 3);
+    sketch.Add(1.0, 4);
+  });
+  add("single", [&](QuantileSketch& sketch) { sketch.Add(0.6180339887); });
+  add("weighted", [&](QuantileSketch& sketch) {
+    for (int i = 0; i < 200; ++i) {
+      sketch.Add(rng.Uniform(), static_cast<uint64_t>(rng.UniformInt(1, 1000)));
+    }
+  });
+  add("merged", [&](QuantileSketch& sketch) {
+    QuantileSketch part(options);
+    for (int i = 0; i < 700; ++i) part.Add(rng.Uniform() * 0.2);
+    for (int i = 0; i < 300; ++i) sketch.Add(0.9 + rng.Uniform() * 0.1);
+    BBV_CHECK(sketch.Merge(part).ok());
+  });
+  add("loaded", [&](QuantileSketch& sketch) {
+    QuantileSketch source(options);
+    for (int i = 0; i < 1500; ++i) source.Add(rng.Uniform() * rng.Uniform());
+    std::istringstream in(SketchBytes(source));
+    auto loaded = QuantileSketch::Load(in);
+    BBV_CHECK(loaded.ok());
+    sketch = std::move(*loaded);
+  });
+  return out;
+}
+
+TEST(QuantileSketchTest, BlockSumQueriesMatchFullScanBitwise) {
+  common::Rng rng(29);
+  std::vector<double> dense;
+  for (int i = 0; i <= 200; ++i) dense.push_back(0.5 * i);
+  const std::vector<std::vector<double>> query_sets = {
+      {0.0}, {100.0}, {0.0, 100.0}, core::DefaultPercentilePoints(), dense};
+  for (int bits : {1, 2, 5, 6, 7, 12, 16}) {
+    QuantileSketch::Options options;
+    options.resolution_bits = bits;
+    for (const auto& [name, sketch] : OracleSketches(options, rng)) {
+      SCOPED_TRACE(name + " bits=" + std::to_string(bits));
+      for (const std::vector<double>& qs : query_sets) {
+        const std::vector<double> got = sketch.Quantiles(qs);
+        const std::vector<double> want = OracleQuantiles(sketch, qs);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < qs.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(got[i]),
+                    std::bit_cast<uint64_t>(want[i]))
+              << "q=" << qs[i] << " got " << got[i] << " want " << want[i];
+        }
+      }
+      const size_t grid = size_t{1} << bits;
+      std::vector<double> xs = {-0.5, 1.5};
+      for (size_t k = 0; k <= std::min<size_t>(grid, 300); ++k) {
+        xs.push_back(static_cast<double>(k) / static_cast<double>(grid));
+        xs.push_back((static_cast<double>(k) + 0.5) /
+                     static_cast<double>(grid));
+      }
+      for (int i = 0; i < 200; ++i) xs.push_back(rng.Uniform());
+      for (double x : xs) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(sketch.Cdf(x)),
+                  std::bit_cast<uint64_t>(OracleCdf(sketch, x)))
+            << "x=" << x;
+      }
+    }
+  }
+}
+
+TEST(QuantileSketchTest, CellIndexRoundsLikeLlround) {
+  // Every half-way point k + 0.5 of the scaled grid and both neighbouring
+  // doubles, plus random values: each Add must land in the cell std::llround
+  // picks, and nowhere else.
+  common::Rng rng(30);
+  for (int bits : {1, 2, 5, 6, 7, 12, 16}) {
+    QuantileSketch::Options options;
+    options.resolution_bits = bits;
+    const size_t grid = size_t{1} << bits;
+    std::vector<double> values;
+    for (size_t k = 0; k < grid; ++k) {
+      const double half =
+          (static_cast<double>(k) + 0.5) / static_cast<double>(grid);
+      values.push_back(half);
+      values.push_back(std::nextafter(half, 0.0));
+      values.push_back(std::nextafter(half, 1.0));
+    }
+    for (int i = 0; i < 10000; ++i) values.push_back(rng.Uniform());
+    QuantileSketch sketch(options);
+    std::vector<uint64_t> expected(grid + 1, 0);
+    for (double value : values) {
+      const size_t cell = OracleCellIndex(options, value);
+      sketch.Add(value);
+      ++expected[cell];
+      ASSERT_EQ(sketch.cell_counts()[cell], expected[cell])
+          << "bits=" << bits << " value=" << value;
+    }
+    const std::span<const uint64_t> cells = sketch.cell_counts();
+    EXPECT_TRUE(std::equal(cells.begin(), cells.end(), expected.begin(),
+                           expected.end()))
+        << "bits=" << bits;
+  }
+}
+
 TEST(QuantileSketchTest, CdfMatchesEmpiricalFractions) {
   QuantileSketch sketch;
   for (int i = 0; i < 10; ++i) sketch.Add(0.1);
@@ -291,6 +537,29 @@ TEST(QuantileSketchBankTest, RejectsEmptyAndMismatchedBatches) {
   EXPECT_FALSE(bank.Observe(RandomProbabilities(10, 2, rng)).ok());
   EXPECT_EQ(bank.rows_observed(), 10u);
   EXPECT_EQ(bank.num_columns(), 3u);
+}
+
+TEST(QuantileSketchBankTest, RejectsNonFiniteBatchesWithoutChangingState) {
+  common::Rng rng(31);
+  for (double poison : {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()}) {
+    linalg::Matrix poisoned = RandomProbabilities(10, 3, rng);
+    poisoned.At(9, 2) = poison;
+    // A fresh bank does not adopt the width of a rejected batch.
+    QuantileSketchBank fresh;
+    EXPECT_EQ(fresh.Observe(poisoned).code(),
+              common::StatusCode::kInvalidArgument);
+    EXPECT_EQ(fresh.num_columns(), 0u);
+    // A populated bank keeps its exact bytes.
+    QuantileSketchBank bank;
+    ASSERT_TRUE(bank.Observe(RandomProbabilities(10, 3, rng)).ok());
+    const std::string before = BankBytes(bank);
+    EXPECT_EQ(bank.Observe(poisoned).code(),
+              common::StatusCode::kInvalidArgument);
+    EXPECT_EQ(BankBytes(bank), before);
+    EXPECT_EQ(bank.rows_observed(), 10u);
+  }
 }
 
 TEST(QuantileSketchBankTest, BytesIdenticalAcrossSplitsAndThreadCounts) {
