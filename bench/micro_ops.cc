@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -235,6 +236,39 @@ void BM_RandomForestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomForestFit)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+void BM_MetaForestFit(benchmark::State& state) {
+  // Algorithm 1's final forest fit at its production shape: 105
+  // meta-examples x 58 percentile features (2 classes x 29 points, values
+  // on a coarse grid so columns tie like real percentiles), forest defaults
+  // (max depth 10, min leaf 2, a third of the features per split), 100
+  // trees. Arg is the BBV_THREADS override.
+  ::setenv("BBV_THREADS", std::to_string(state.range(0)).c_str(), 1);
+  common::Rng data_rng(2020);
+  const size_t dim = 2 * core::DefaultPercentilePoints().size();
+  linalg::Matrix features(105, dim);
+  std::vector<double> targets(features.rows());
+  for (size_t i = 0; i < features.rows(); ++i) {
+    const double quality = data_rng.Uniform(0.5, 1.0);
+    for (size_t j = 0; j < dim; ++j) {
+      const double raw = quality * static_cast<double>(j % 29 + 1) / 29.0 +
+                         data_rng.Gaussian(0.0, 0.05);
+      features.At(i, j) = std::round(raw * 50.0) / 50.0;
+    }
+    targets[i] = quality + data_rng.Gaussian(0.0, 0.02);
+  }
+  ml::RandomForestRegressor::Options options;
+  options.num_trees = 100;
+  for (auto _ : state) {
+    ml::RandomForestRegressor forest(options);
+    common::Rng rng(11);
+    BBV_CHECK(forest.Fit(features, targets, rng).ok());
+    benchmark::DoNotOptimize(forest);
+  }
+  ::unsetenv("BBV_THREADS");
+  state.SetItemsProcessed(state.iterations() * options.num_trees);
+}
+BENCHMARK(BM_MetaForestFit)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_TelemetrySpanEnabled(benchmark::State& state) {
   // Cost of one TraceSpan + counter increment on the instrumented hot

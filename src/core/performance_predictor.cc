@@ -352,6 +352,14 @@ common::Result<PerformancePredictor> PerformancePredictor::Load(
   predictor.options_.conformal_mode = predictor.calibrator_.mode();
   BBV_ASSIGN_OR_RETURN(predictor.regressor_,
                        ml::RandomForestRegressor::Load(reader));
+  // A split on a feature past the trained width would read beyond every
+  // statistics row the size checks at serving time let through.
+  const int32_t max_feature = predictor.regressor_.kernel().max_feature();
+  if (max_feature >= 0 &&
+      static_cast<uint64_t>(max_feature) >= feature_dimension) {
+    return common::Status::InvalidArgument(
+        "forest splits on a feature beyond the feature dimension");
+  }
   predictor.trained_ = true;
   return predictor;
 }

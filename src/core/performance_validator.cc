@@ -251,6 +251,12 @@ std::vector<double> PerformanceValidator::BuildFeatures(
   return features;
 }
 
+size_t PerformanceValidator::FeatureWidth(size_t num_classes) const {
+  return num_classes * options_.percentile_points.size() +
+         (options_.use_ks_features ? 2 * num_classes : 0) +
+         (options_.use_predictor_feature ? 2 : 0);
+}
+
 common::Result<bool> PerformanceValidator::Validate(
     const ml::BlackBox& model, const data::DataFrame& serving) const {
   BBV_ASSIGN_OR_RETURN(linalg::Matrix probabilities,
@@ -363,6 +369,14 @@ common::Result<PerformanceValidator> PerformanceValidator::Load(
   if (!validator.degenerate_) {
     BBV_ASSIGN_OR_RETURN(validator.decision_model_,
                          ml::GradientBoostedTrees::Load(in));
+    // Every decision reads a BuildFeatures vector, whose width the
+    // retained test outputs fix.
+    const int32_t max_feature = validator.decision_model_.kernel().max_feature();
+    if (max_feature >= 0 &&
+        static_cast<size_t>(max_feature) >= validator.FeatureWidth(cols)) {
+      return common::Status::InvalidArgument(
+          "decision model splits on a feature beyond the feature width");
+    }
   }
   validator.trained_ = true;
   return validator;

@@ -91,6 +91,9 @@ class PerformanceValidator {
   /// Feature vector: percentiles + per-class KS statistic/p-value against
   /// the retained test outputs + internal predictor estimate.
   std::vector<double> BuildFeatures(const linalg::Matrix& probabilities) const;
+  /// Length of the vector BuildFeatures returns for a batch of
+  /// `num_classes` probability columns.
+  size_t FeatureWidth(size_t num_classes) const;
 
   Options options_;
   bool trained_ = false;

@@ -3,28 +3,16 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
+#include "common/check.h"
 #include "ml/feature_binning.h"
+#include "ml/feature_presort.h"
 
 namespace bbv::ml {
 
 namespace {
-
-/// Candidate features for a split: a random subset of size
-/// ceil(feature_fraction * d), or all features when the fraction is 1.
-std::vector<size_t> CandidateFeatures(size_t num_features, double fraction,
-                                      common::Rng& rng) {
-  if (fraction >= 1.0) {
-    std::vector<size_t> all(num_features);
-    std::iota(all.begin(), all.end(), 0);
-    return all;
-  }
-  const size_t k = std::max<size_t>(
-      1, static_cast<size_t>(
-             std::ceil(fraction * static_cast<double>(num_features))));
-  return rng.SampleWithoutReplacement(num_features, k);
-}
 
 struct SplitCandidate {
   bool found = false;
@@ -33,23 +21,27 @@ struct SplitCandidate {
   double gain = 0.0;
 };
 
-/// Shared sorted view for the exact split searches: fills `points` with
-/// (feature value, payload) pairs over rows[begin, end), sorted ascending
-/// by value (payload order breaks ties, deterministically). Returns false
-/// when the feature is constant across the node, i.e. unsplittable — the
-/// single guard both the regression and the Gini search used to duplicate.
-template <typename Payload>
-bool FillSortedFeaturePoints(const linalg::Matrix& features,
-                             const std::vector<size_t>& rows, size_t begin,
-                             size_t end, size_t feature,
-                             const std::vector<Payload>& payload,
-                             std::vector<std::pair<double, Payload>>& points) {
-  points.clear();
-  for (size_t i = begin; i < end; ++i) {
-    points.emplace_back(features.At(rows[i], feature), payload[rows[i]]);
-  }
-  std::sort(points.begin(), points.end());
-  return points.front().first < points.back().first;
+/// Whether either child of a split at `depth` into `left_count` and
+/// `right_count` rows can be split again, i.e. whether the children will
+/// ever scan their sorted entries. Mirrors the leaf test at the top of both
+/// Grow functions.
+bool ChildMaySplit(const TreeOptions& options, int depth, size_t left_count,
+                   size_t right_count) {
+  return depth + 1 < options.max_depth &&
+         std::max(left_count, right_count) >= 2 * options.min_samples_leaf;
+}
+
+/// Partitions rows[begin, end) around x[feature] <= threshold and returns
+/// the first right-hand position. std::partition fixes the row order, and
+/// with it the summation order of every descendant's node sums.
+size_t PartitionRows(const linalg::Matrix& features, std::vector<size_t>& rows,
+                     size_t begin, size_t end, size_t feature,
+                     double threshold) {
+  const auto middle = std::partition(
+      rows.begin() + static_cast<ptrdiff_t>(begin),
+      rows.begin() + static_cast<ptrdiff_t>(end),
+      [&](size_t row) { return features.At(row, feature) <= threshold; });
+  return static_cast<size_t>(middle - rows.begin());
 }
 
 /// Histogram split search for one feature of the node rows[begin, end):
@@ -106,6 +98,151 @@ void BestBinnedSplit(const FeatureBinning& binning,
 
 }  // namespace
 
+namespace internal {
+
+/// Per-Fit scratch state of the tree growers, allocated once per Fit so that
+/// growing a regression-tree node allocates nothing but the node: the
+/// candidate-feature buffer, and the data of the split search in use — the
+/// FeatureBinning of the histogram search, or the per-feature sorted entries
+/// of the exact one.
+///
+/// Exact search invariant: for every feature f, entries [begin, end) of f
+/// hold the rows of the node that owns rows[begin, end), bootstrap repeats
+/// included, in ascending (value, target) order. UseExact establishes it
+/// for the root; SplitSorted keeps it for both children by
+/// stable-partitioning every feature's entries.
+class GrowContext {
+ public:
+  GrowContext(size_t num_features, double feature_fraction)
+      : candidates_(num_features),
+        num_candidates_(
+            feature_fraction >= 1.0
+                ? num_features
+                : std::max<size_t>(
+                      1, static_cast<size_t>(std::ceil(
+                             feature_fraction *
+                             static_cast<double>(num_features))))),
+        sample_(!(feature_fraction >= 1.0)) {
+    std::iota(candidates_.begin(), candidates_.end(), size_t{0});
+  }
+
+  /// Candidate features for a split: a random subset of size
+  /// ceil(feature_fraction * d), or all features when the fraction is 1.
+  /// The subset is drawn with exactly the Rng draws (and result order) of
+  /// Rng::SampleWithoutReplacement, a partial Fisher-Yates shuffle.
+  std::span<const size_t> Candidates(common::Rng& rng) {
+    if (sample_) {
+      const size_t n = candidates_.size();
+      BBV_CHECK_LE(num_candidates_, n);
+      std::iota(candidates_.begin(), candidates_.end(), size_t{0});
+      for (size_t i = 0; i < num_candidates_; ++i) {
+        std::swap(candidates_[i], candidates_[i + rng.UniformInt(n - i)]);
+      }
+    }
+    return {candidates_.data(), num_candidates_};
+  }
+
+  void UseBinned(const FeatureBinning& binning) { binning_ = &binning; }
+  /// The histogram search's binning, or nullptr under the exact search.
+  const FeatureBinning* binning() const { return binning_; }
+
+  /// Selects the exact search and builds every feature's sorted entries
+  /// for `rows` (bootstrap repeats included): expanded from `presort` in
+  /// O(F * (N + n)) when there is one, otherwise sorted here, which needs
+  /// no full-matrix index for a tree that is fitted once.
+  void UseExact(const linalg::Matrix& features,
+                std::span<const double> targets, std::span<const size_t> rows,
+                const FeaturePresort* presort) {
+    values_ = features.data().data();
+    num_features_ = features.cols();
+    BBV_CHECK_LE(features.rows(),
+                 size_t{std::numeric_limits<uint32_t>::max()});
+    goes_left_.assign(features.rows(), 0);
+    spill_.resize(rows.size());
+    sorted_.resize(features.cols());
+    if (presort == nullptr) {
+      for (size_t f = 0; f < features.cols(); ++f) {
+        sorted_[f].assign(rows.begin(), rows.end());
+        FeaturePresort::SortRows(features, targets, f, sorted_[f]);
+      }
+      return;
+    }
+    std::vector<uint32_t> repeats(features.rows(), 0);
+    for (size_t row : rows) ++repeats[row];
+    for (size_t f = 0; f < features.cols(); ++f) {
+      sorted_[f].resize(rows.size());
+      uint32_t* out = sorted_[f].data();
+      const uint32_t* order = presort->Order(f);
+      for (size_t rank = 0; rank < features.rows(); ++rank) {
+        out = std::fill_n(out, repeats[order[rank]], order[rank]);
+      }
+    }
+  }
+  bool exact() const { return values_ != nullptr; }
+
+  /// Values of `feature`: row r's is Column(feature)[r * num_features()],
+  /// the row-major training matrix read in place.
+  const double* Column(size_t feature) const { return values_ + feature; }
+  size_t num_features() const { return num_features_; }
+
+  /// The sorted entries of `feature` from position `begin` on.
+  const uint32_t* Sorted(size_t feature, size_t begin) const {
+    return sorted_[feature].data() + begin;
+  }
+
+  /// Splits the node owning entries [begin, end) at x[feature] <= threshold:
+  /// every feature's entries are stable-partitioned, left rows first, so
+  /// both children stay sorted. Row repeats share their row's side.
+  void SplitSorted(size_t begin, size_t end, size_t feature,
+                   double threshold) {
+    const size_t count = end - begin;
+    uint8_t* goes_left = goes_left_.data();
+    uint32_t* spill = spill_.data();
+    const double* column = Column(feature);
+    const uint32_t* node = Sorted(feature, begin);
+    for (size_t i = 0; i < count; ++i) {
+      goes_left[node[i]] = column[node[i] * num_features_] <= threshold;
+    }
+    for (size_t f = 0; f < num_features_; ++f) {
+      // Sorted by value, the split feature's left rows already lead.
+      if (f == feature) continue;
+      uint32_t* entries = sorted_[f].data() + begin;
+      size_t left = 0;
+      size_t right = 0;
+      for (size_t i = 0; i < count; ++i) {
+        const uint32_t row = entries[i];
+        const size_t side = goes_left[row];
+        entries[left] = row;  // left <= i: never overwrites an unread entry
+        spill[right] = row;
+        left += side;
+        right += 1 - side;
+      }
+      std::copy_n(spill, right, entries + left);
+    }
+  }
+
+ private:
+  std::vector<size_t> candidates_;
+  size_t num_candidates_;
+  bool sample_;
+  const FeatureBinning* binning_ = nullptr;
+  /// The exact search's row-major training matrix and its column count.
+  const double* values_ = nullptr;
+  size_t num_features_ = 0;
+  /// sorted_[f][position]: one list of the tree's rows per feature. One
+  /// allocation per feature keeps each under glibc's mmap threshold for
+  /// common shapes; a single F * n buffer above it, freed after every tree,
+  /// raises the threshold for the whole process and measurably grew peak
+  /// RSS elsewhere.
+  std::vector<std::vector<uint32_t>> sorted_;
+  /// Right-hand rows of the feature being partitioned.
+  std::vector<uint32_t> spill_;
+  /// Side of the current split, by row id.
+  std::vector<uint8_t> goes_left_;
+};
+
+}  // namespace internal
+
 // ---------------------------------------------------------------------------
 // RegressionTree
 // ---------------------------------------------------------------------------
@@ -114,7 +251,8 @@ common::Status RegressionTree::Fit(const linalg::Matrix& features,
                                    const std::vector<double>& targets,
                                    const std::vector<size_t>& rows,
                                    common::Rng& rng,
-                                   const FeatureBinning* binning) {
+                                   const FeatureBinning* binning,
+                                   const FeaturePresort* presort) {
   if (features.rows() != targets.size()) {
     return common::Status::InvalidArgument(
         "features and targets disagree on the number of rows");
@@ -122,8 +260,11 @@ common::Status RegressionTree::Fit(const linalg::Matrix& features,
   if (rows.empty()) {
     return common::Status::InvalidArgument("cannot fit a tree on zero rows");
   }
+  if (*std::max_element(rows.begin(), rows.end()) >= features.rows()) {
+    return common::Status::InvalidArgument("row id out of range");
+  }
+  internal::GrowContext context(features.cols(), options_.feature_fraction);
   FeatureBinning local_binning;
-  binning_ = nullptr;
   if (options_.binned_split_search) {
     if (binning == nullptr) {
       local_binning = FeatureBinning::Build(features);
@@ -134,28 +275,38 @@ common::Status RegressionTree::Fit(const linalg::Matrix& features,
       return common::Status::InvalidArgument(
           "feature binning does not match the training matrix shape");
     }
-    binning_ = binning;
+    context.UseBinned(*binning);
+  } else {
+    if (presort != nullptr && (presort->num_rows() != features.rows() ||
+                               presort->num_features() != features.cols())) {
+      return common::Status::InvalidArgument(
+          "feature presort does not match the training matrix shape");
+    }
+    context.UseExact(features, targets, rows, presort);
   }
   nodes_.clear();
   std::vector<size_t> mutable_rows = rows;
-  Grow(features, targets, mutable_rows, 0, mutable_rows.size(), 0, rng);
-  binning_ = nullptr;
+  Grow(features, targets, mutable_rows, 0, mutable_rows.size(), 0, context,
+       rng);
   return common::Status::OK();
 }
 
 common::Status RegressionTree::Fit(const linalg::Matrix& features,
                                    const std::vector<double>& targets,
                                    common::Rng& rng,
-                                   const FeatureBinning* binning) {
+                                   const FeatureBinning* binning,
+                                   const FeaturePresort* presort) {
   std::vector<size_t> rows(features.rows());
   std::iota(rows.begin(), rows.end(), 0);
-  return Fit(features, targets, rows, rng, binning);
+  return Fit(features, targets, rows, rng, binning, presort);
 }
 
 int32_t RegressionTree::Grow(const linalg::Matrix& features,
                              const std::vector<double>& targets,
                              std::vector<size_t>& rows, size_t begin,
-                             size_t end, int depth, common::Rng& rng) {
+                             size_t end, int depth,
+                             internal::GrowContext& context,
+                             common::Rng& rng) {
   const size_t count = end - begin;
   double sum = 0.0;
   double sum_squares = 0.0;
@@ -178,25 +329,29 @@ int32_t RegressionTree::Grow(const linalg::Matrix& features,
   }
 
   SplitCandidate best;
-  std::vector<std::pair<double, double>> points;  // (feature value, target)
-  points.reserve(count);
-  for (size_t feature :
-       CandidateFeatures(features.cols(), options_.feature_fraction, rng)) {
-    if (binning_ != nullptr) {
-      BestBinnedSplit(*binning_, targets, rows, begin, end, feature, sum,
-                      options_.min_samples_leaf, best);
+  for (size_t feature : context.Candidates(rng)) {
+    if (context.binning() != nullptr) {
+      BestBinnedSplit(*context.binning(), targets, rows, begin, end, feature,
+                      sum, options_.min_samples_leaf, best);
       continue;
     }
-    if (!FillSortedFeaturePoints(features, rows, begin, end, feature, targets,
-                                 points)) {
-      continue;
+    // Exact search: one pass over the node's rows in (value, target) order,
+    // the order the sums have always been accumulated in.
+    const double* column = context.Column(feature);
+    const size_t stride = context.num_features();
+    const uint32_t* sorted = context.Sorted(feature, begin);
+    if (!(column[sorted[0] * stride] < column[sorted[count - 1] * stride])) {
+      continue;  // constant on this node: unsplittable
     }
     double left_sum = 0.0;
     double left_sum_squares = 0.0;
     for (size_t i = 0; i + 1 < count; ++i) {
-      left_sum += points[i].second;
-      left_sum_squares += points[i].second * points[i].second;
-      if (points[i].first == points[i + 1].first) continue;
+      const double target = targets[sorted[i]];
+      left_sum += target;
+      left_sum_squares += target * target;
+      const double value = column[sorted[i] * stride];
+      const double next = column[sorted[i + 1] * stride];
+      if (value == next) continue;
       const size_t left_count = i + 1;
       const size_t right_count = count - left_count;
       if (left_count < options_.min_samples_leaf ||
@@ -214,7 +369,7 @@ int32_t RegressionTree::Grow(const linalg::Matrix& features,
       if (gain > best.gain) {
         best.found = true;
         best.feature = feature;
-        best.threshold = 0.5 * (points[i].first + points[i + 1].first);
+        best.threshold = 0.5 * (value + next);
         best.gain = gain;
       }
     }
@@ -224,28 +379,26 @@ int32_t RegressionTree::Grow(const linalg::Matrix& features,
     return node_id;
   }
 
-  // Partition rows[begin, end) around the chosen threshold.
-  auto middle = std::partition(
-      rows.begin() + static_cast<ptrdiff_t>(begin),
-      rows.begin() + static_cast<ptrdiff_t>(end), [&](size_t row) {
-        return features.At(row, best.feature) <= best.threshold;
-      });
   const size_t split =
-      static_cast<size_t>(middle - rows.begin());
+      PartitionRows(features, rows, begin, end, best.feature, best.threshold);
   if (split == begin || split == end) {
     // The midpoint of two adjacent feature values can round onto the larger
     // value, sending every row to one side. Such a split is unusable — the
     // empty child's mean would be NaN — so keep this node as a leaf.
     return node_id;
   }
+  if (context.exact() &&
+      ChildMaySplit(options_, depth, split - begin, end - split)) {
+    context.SplitSorted(begin, end, best.feature, best.threshold);
+  }
 
   nodes_[node_id].feature = static_cast<int32_t>(best.feature);
   nodes_[node_id].threshold = best.threshold;
   const int32_t left =
-      Grow(features, targets, rows, begin, split, depth + 1, rng);
+      Grow(features, targets, rows, begin, split, depth + 1, context, rng);
   nodes_[node_id].left = left;
   const int32_t right =
-      Grow(features, targets, rows, split, end, depth + 1, rng);
+      Grow(features, targets, rows, split, end, depth + 1, context, rng);
   nodes_[node_id].right = right;
   return node_id;
 }
@@ -299,14 +452,21 @@ common::Status DecisionTreeClassifier::Fit(const linalg::Matrix& features,
   nodes_.clear();
   std::vector<size_t> rows(features.rows());
   std::iota(rows.begin(), rows.end(), 0);
-  Grow(features, labels, rows, 0, rows.size(), 0, rng);
+  // Class counts are integers, so the Gini scan is exact in any order of
+  // tied values; the labels break value ties all the same.
+  const std::vector<double> label_values(labels.begin(), labels.end());
+  internal::GrowContext context(features.cols(), options_.feature_fraction);
+  context.UseExact(features, label_values, rows, nullptr);
+  Grow(features, labels, rows, 0, rows.size(), 0, context, rng);
   return common::Status::OK();
 }
 
 int32_t DecisionTreeClassifier::Grow(const linalg::Matrix& features,
                                      const std::vector<int>& labels,
                                      std::vector<size_t>& rows, size_t begin,
-                                     size_t end, int depth, common::Rng& rng) {
+                                     size_t end, int depth,
+                                     internal::GrowContext& context,
+                                     common::Rng& rng) {
   const size_t count = end - begin;
   const auto m = static_cast<size_t>(num_classes_);
   std::vector<double> class_counts(m, 0.0);
@@ -331,22 +491,23 @@ int32_t DecisionTreeClassifier::Grow(const linalg::Matrix& features,
   }
 
   SplitCandidate best;
-  std::vector<std::pair<double, int>> points;  // (feature value, label)
-  points.reserve(count);
   std::vector<double> left_counts(m);
-  for (size_t feature :
-       CandidateFeatures(features.cols(), options_.feature_fraction, rng)) {
-    if (!FillSortedFeaturePoints(features, rows, begin, end, feature, labels,
-                                 points)) {
+  for (size_t feature : context.Candidates(rng)) {
+    const double* column = context.Column(feature);
+    const size_t stride = context.num_features();
+    const uint32_t* sorted = context.Sorted(feature, begin);
+    if (!(column[sorted[0] * stride] < column[sorted[count - 1] * stride])) {
       continue;
     }
     std::fill(left_counts.begin(), left_counts.end(), 0.0);
     double left_gini_sum = 0.0;  // sum of squared left counts
     for (size_t i = 0; i + 1 < count; ++i) {
-      double& c = left_counts[static_cast<size_t>(points[i].second)];
+      double& c = left_counts[static_cast<size_t>(labels[sorted[i]])];
       left_gini_sum += 2.0 * c + 1.0;  // (c+1)^2 - c^2
       c += 1.0;
-      if (points[i].first == points[i + 1].first) continue;
+      const double value = column[sorted[i] * stride];
+      const double next = column[sorted[i + 1] * stride];
+      if (value == next) continue;
       const size_t left_count = i + 1;
       const size_t right_count = count - left_count;
       if (left_count < options_.min_samples_leaf ||
@@ -366,7 +527,7 @@ int32_t DecisionTreeClassifier::Grow(const linalg::Matrix& features,
       if (gain > best.gain) {
         best.found = true;
         best.feature = feature;
-        best.threshold = 0.5 * (points[i].first + points[i + 1].first);
+        best.threshold = 0.5 * (value + next);
         best.gain = gain;
       }
     }
@@ -376,21 +537,20 @@ int32_t DecisionTreeClassifier::Grow(const linalg::Matrix& features,
     return node_id;
   }
 
-  auto middle = std::partition(
-      rows.begin() + static_cast<ptrdiff_t>(begin),
-      rows.begin() + static_cast<ptrdiff_t>(end), [&](size_t row) {
-        return features.At(row, best.feature) <= best.threshold;
-      });
-  const size_t split = static_cast<size_t>(middle - rows.begin());
+  const size_t split =
+      PartitionRows(features, rows, begin, end, best.feature, best.threshold);
   BBV_DCHECK(split > begin && split < end);
+  if (ChildMaySplit(options_, depth, split - begin, end - split)) {
+    context.SplitSorted(begin, end, best.feature, best.threshold);
+  }
 
   nodes_[node_id].feature = static_cast<int32_t>(best.feature);
   nodes_[node_id].threshold = best.threshold;
   const int32_t left =
-      Grow(features, labels, rows, begin, split, depth + 1, rng);
+      Grow(features, labels, rows, begin, split, depth + 1, context, rng);
   nodes_[node_id].left = left;
   const int32_t right =
-      Grow(features, labels, rows, split, end, depth + 1, rng);
+      Grow(features, labels, rows, split, end, depth + 1, context, rng);
   nodes_[node_id].right = right;
   return node_id;
 }

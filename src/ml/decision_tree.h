@@ -15,6 +15,12 @@
 namespace bbv::ml {
 
 class FeatureBinning;
+class FeaturePresort;
+
+namespace internal {
+/// Per-Fit scratch state of the tree growers (defined in decision_tree.cc).
+class GrowContext;
+}  // namespace internal
 
 /// Shared tree-growing configuration.
 struct TreeOptions {
@@ -27,9 +33,9 @@ struct TreeOptions {
   double min_impurity_decrease = 1e-9;
   /// Opt-in histogram split search for RegressionTree: scan the uint8
   /// quantile-bin histograms of a FeatureBinning (built once per ensemble
-  /// Fit, or locally when the caller passes none) instead of re-sorting the
-  /// node's (value, target) pairs per feature per node. Thresholds are
-  /// restricted to the <= 255 per-feature cut values, so binned trees are a
+  /// Fit, or locally when the caller passes none) instead of scanning every
+  /// distinct value of the node's presorted rows. Thresholds are restricted
+  /// to the <= 255 per-feature cut values, so binned trees are a
   /// (deterministic, thread-count independent) approximation of the exact
   /// search; exact stays the default. Ignored by DecisionTreeClassifier.
   bool binned_split_search = false;
@@ -54,19 +60,24 @@ class RegressionTree {
   explicit RegressionTree(TreeOptions options = {}) : options_(options) {}
 
   /// Fits the tree on rows `rows` of `features` against `targets` (full
-  /// column, indexed by row id). When options.binned_split_search is set,
-  /// `binning` is the shared pre-binning of `features` (row-count and
-  /// feature-count matched); pass nullptr to have the tree build a local
-  /// one. `binning` is ignored by the exact (default) search.
+  /// column, indexed by row id; `rows` may repeat ids, as a bootstrap
+  /// does). The exact (default) search reads `presort`, the shared
+  /// FeaturePresort of `features` and `targets`; the binned search reads
+  /// `binning`, the shared pre-binning of `features`. Each must match the
+  /// matrix shape and is ignored by the other search. Without a binning
+  /// the tree builds a local one; without a presort it sorts its own rows
+  /// once, which is cheaper for a tree that is fitted alone.
   common::Status Fit(const linalg::Matrix& features,
                      const std::vector<double>& targets,
                      const std::vector<size_t>& rows, common::Rng& rng,
-                     const FeatureBinning* binning = nullptr);
+                     const FeatureBinning* binning = nullptr,
+                     const FeaturePresort* presort = nullptr);
 
   /// Convenience: fit on all rows.
   common::Status Fit(const linalg::Matrix& features,
                      const std::vector<double>& targets, common::Rng& rng,
-                     const FeatureBinning* binning = nullptr);
+                     const FeatureBinning* binning = nullptr,
+                     const FeaturePresort* presort = nullptr);
 
   /// Prediction for one feature row. This is the scalar node-walking path —
   /// the legacy reference the flattened ForestKernel is proven bit-identical
@@ -98,12 +109,11 @@ class RegressionTree {
  private:
   int32_t Grow(const linalg::Matrix& features,
                const std::vector<double>& targets, std::vector<size_t>& rows,
-               size_t begin, size_t end, int depth, common::Rng& rng);
+               size_t begin, size_t end, int depth,
+               internal::GrowContext& context, common::Rng& rng);
 
   TreeOptions options_;
   std::vector<Node> nodes_;
-  /// Active only inside Fit when the binned search is enabled.
-  const FeatureBinning* binning_ = nullptr;
 };
 
 /// CART classification tree (Gini splits, class-frequency leaves). Included
@@ -134,7 +144,7 @@ class DecisionTreeClassifier : public Classifier {
 
   int32_t Grow(const linalg::Matrix& features, const std::vector<int>& labels,
                std::vector<size_t>& rows, size_t begin, size_t end, int depth,
-               common::Rng& rng);
+               internal::GrowContext& context, common::Rng& rng);
 
   TreeOptions options_;
   std::vector<Node> nodes_;

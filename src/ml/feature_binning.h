@@ -14,13 +14,12 @@ namespace bbv::ml {
 /// cut value >= the cell's feature value. A split search can then
 /// accumulate per-bin (count, target-sum) histograms in one linear pass
 /// over the node's rows and scan at most 255 candidate thresholds, instead
-/// of re-sorting the node's (value, target) pairs for every feature at
-/// every node.
+/// of scanning every distinct value of the node's presorted rows (the exact
+/// search, see FeaturePresort).
 ///
 /// The binning is built once per ensemble Fit and shared read-only across
-/// all trees (and across the ParallelMap tree workers), so it adds one
-/// O(n d log n) pass to a fit that previously paid O(n log n) per feature
-/// per node.
+/// all trees (and across the ParallelMap tree workers): one O(n d log n)
+/// pass per Fit.
 ///
 /// Correctness contract: cut values are actual feature values from the
 /// training column, and `code(v) <= b  <=>  v <= CutValue(f, b)` for every

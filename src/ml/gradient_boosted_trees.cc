@@ -46,7 +46,10 @@ common::Status GradientBoostedTrees::Fit(const linalg::Matrix& features,
   const size_t sample_size = std::max<size_t>(
       2, static_cast<size_t>(options_.subsample * static_cast<double>(n)));
   // The binning depends only on the (round-invariant) feature matrix, so
-  // one build up front serves every boosting round and class.
+  // one build up front serves every boosting round and class. The exact
+  // search orders value ties by target, and the targets (the gradients)
+  // change every round, so each tree sorts its own rows instead of sharing
+  // a FeaturePresort.
   FeatureBinning binning;
   const FeatureBinning* binning_ptr = nullptr;
   if (options_.tree.binned_split_search) {

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/serialize.h"
+#include "core/prediction_statistics.h"
 #include "core/performance_predictor.h"
 #include "core/performance_validator.h"
 #include "datasets/tabular.h"
@@ -270,6 +271,69 @@ TEST(PredictorSerializationTest, GarbageInputRejected) {
   EXPECT_FALSE(core::PerformancePredictor::Load(buffer).ok());
 }
 
+/// One tree in RegressionTree::Save's layout: a root split on `feature` at
+/// 0.5 with leaves 0.25 (left) and 0.75 (right).
+void WriteStump(common::BinaryWriter& writer, int32_t feature) {
+  writer.WriteInt32Vector({feature, -1, -1});
+  writer.WriteInt32Vector({1, -1, -1});
+  writer.WriteInt32Vector({2, -1, -1});
+  writer.WriteDoubleVector({0.5, 0.0, 0.0});
+  writer.WriteDoubleVector({0.5, 0.25, 0.75});
+}
+
+/// Save bytes of a predictor trained on synthetic two-class statistics
+/// (feature dimension 2 * |DefaultPercentilePoints()|).
+std::string SmallPredictorBytes() {
+  core::PerformancePredictor::Options options;
+  options.tree_count_grid = {3};
+  options.conformal_calibration = false;
+  core::PerformancePredictor predictor(options);
+  const size_t width = 2 * core::DefaultPercentilePoints().size();
+  common::Rng rng(5);
+  std::vector<std::vector<double>> statistics(30, std::vector<double>(width));
+  std::vector<double> scores(statistics.size());
+  for (size_t i = 0; i < statistics.size(); ++i) {
+    for (double& value : statistics[i]) value = rng.Uniform(0.0, 1.0);
+    scores[i] = statistics[i][0];
+  }
+  EXPECT_TRUE(predictor.TrainFromStatistics(statistics, scores, 0.9, rng).ok());
+  std::ostringstream out;
+  EXPECT_TRUE(predictor.Save(out).ok());
+  return out.str();
+}
+
+/// `predictor_bytes` with its forest record, which closes the archive,
+/// replaced by a one-stump forest splitting on `feature`.
+std::string WithStumpForest(std::string predictor_bytes, int32_t feature) {
+  predictor_bytes.resize(predictor_bytes.find("BBVRF"));
+  std::ostringstream out;
+  common::BinaryWriter writer(out);
+  writer.WriteMagic("BBVRF", 1);
+  writer.WriteUint64(1);
+  WriteStump(writer, feature);
+  return predictor_bytes + out.str();
+}
+
+// A forest splitting on a feature past the predictor's feature dimension
+// used to load; every scalar estimate then read past the statistics row.
+TEST(PredictorSerializationTest, LoadRejectsForestFeatureBeyondDimension) {
+  const std::string trained = SmallPredictorBytes();
+  const auto dimension =
+      static_cast<int32_t>(2 * core::DefaultPercentilePoints().size());
+  std::istringstream beyond(WithStumpForest(trained, dimension));
+  EXPECT_EQ(core::PerformancePredictor::Load(beyond).status().code(),
+            common::StatusCode::kInvalidArgument);
+
+  // The last in-range feature loads and estimates.
+  std::istringstream last(WithStumpForest(trained, dimension - 1));
+  const auto predictor = core::PerformancePredictor::Load(last);
+  ASSERT_TRUE(predictor.ok()) << predictor.status().ToString();
+  const std::vector<double> statistics(static_cast<size_t>(dimension), 0.75);
+  const auto estimate = predictor->EstimateScoreFromStatistics(statistics);
+  ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
+  EXPECT_DOUBLE_EQ(estimate->point, 0.75);
+}
+
 // ---------------------------------------------------------------------------
 // Performance validator
 // ---------------------------------------------------------------------------
@@ -317,6 +381,54 @@ TEST(ValidatorSerializationTest, SaveBeforeTrainFails) {
 TEST(ValidatorSerializationTest, GarbageInputRejected) {
   std::stringstream buffer("BBVPVgarbage");
   EXPECT_FALSE(core::PerformanceValidator::Load(buffer).ok());
+}
+
+/// A validator archive over a 3-point grid with KS and predictor features
+/// and two retained output columns, so its decision features are
+/// 2 * 3 + 2 * 2 + 2 = 12 wide. The decision model is a two-class GBT of
+/// stumps splitting on `feature`.
+std::string ValidatorWithStumpsOn(const std::string& predictor_bytes,
+                                  int32_t feature) {
+  std::ostringstream out;
+  common::BinaryWriter writer(out);
+  writer.WriteMagic("BBVPV", 1);
+  writer.WriteDouble(0.05);  // threshold
+  writer.WriteInt32(static_cast<int32_t>(core::ScoreMetric::kAccuracy));
+  writer.WriteDoubleVector({25.0, 50.0, 75.0});
+  writer.WriteInt32(1);       // KS features
+  writer.WriteInt32(1);       // predictor feature
+  writer.WriteDouble(0.9);    // test score
+  writer.WriteInt32(0);       // not degenerate
+  writer.WriteInt32(0);       // degenerate label
+  writer.WriteDouble(0.5);    // decision threshold
+  writer.WriteUint64(4);      // retained test outputs: 4 x 2
+  writer.WriteUint64(2);
+  writer.WriteDoubleVector({0.9, 0.1, 0.2, 0.8, 0.6, 0.4, 0.3, 0.7});
+  std::ostringstream gbt;
+  common::BinaryWriter gbt_writer(gbt);
+  gbt_writer.WriteMagic("BBVGB", 1);
+  gbt_writer.WriteInt32(2);
+  gbt_writer.WriteDouble(0.2);
+  gbt_writer.WriteDoubleVector({0.0, 0.0});
+  gbt_writer.WriteUint64(2);
+  WriteStump(gbt_writer, feature);
+  WriteStump(gbt_writer, feature);
+  return out.str() + predictor_bytes + gbt.str();
+}
+
+TEST(ValidatorSerializationTest, LoadRejectsDecisionFeatureBeyondWidth) {
+  const std::string predictor = SmallPredictorBytes();
+  std::istringstream beyond(ValidatorWithStumpsOn(predictor, 12));
+  EXPECT_EQ(core::PerformanceValidator::Load(beyond).status().code(),
+            common::StatusCode::kInvalidArgument);
+
+  // The last in-range feature (the predictor's relative drop) loads and
+  // validates a batch.
+  std::istringstream last(ValidatorWithStumpsOn(predictor, 11));
+  const auto validator = core::PerformanceValidator::Load(last);
+  ASSERT_TRUE(validator.ok()) << validator.status().ToString();
+  const linalg::Matrix batch(3, 2, {0.8, 0.2, 0.4, 0.6, 0.7, 0.3});
+  EXPECT_TRUE(validator->ValidateFromProba(batch).ok());
 }
 
 }  // namespace
