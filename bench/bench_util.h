@@ -146,7 +146,7 @@ struct BenchResult {
 /// Writes a BENCH_*.json file: run metadata (benchmark name, mode, seed,
 /// hardware concurrency, effective BBV_THREADS, compiler id) plus one
 /// object per result. `metadata` appends benchmark-specific string fields
-/// (kernel/binning configuration and the like) to the run header; parsers
+/// (dataset, black box and the like) to the run header; parsers
 /// must skip fields they do not know. Aborts on I/O failure so CI never
 /// uploads a silently truncated artifact.
 void WriteBenchJson(

@@ -1,27 +1,20 @@
 // Inference benchmark for the flattened tree-ensemble kernel: times batch
-// prediction through the legacy scalar node walk, the compiled bit-exact
-// ForestKernel, and the opt-in quantized width-8 fast path on the same
-// fitted models (random forest and boosted classifier, 100 trees) at 1e4
-// and 1e5 serving rows. The main measurements are pinned to BBV_THREADS=1
-// so the kernel-vs-legacy and quantized-vs-exact ratios measure the kernels
-// themselves (and stay comparable across machines); a separate sweep then
-// re-times the 1e5-row forest workloads at 2/4/8 threads.
+// prediction through the legacy scalar node walk and the compiled bit-exact
+// ForestKernel on the same fitted models (random forest and boosted
+// classifier, 100 trees) at 1e4 and 1e5 serving rows. The main
+// measurements are pinned to BBV_THREADS=1 so the kernel-vs-legacy ratios
+// measure the kernel itself (and stay comparable across machines); a
+// separate sweep then re-times the 1e5-row forest workload at 2/4/8
+// threads.
 //
 // Correctness gates (any violation exits non-zero):
-//  - bit-exact kernel outputs must equal the legacy node walk bit for bit;
-//  - quantized outputs must equal the bit-exact kernel evaluated on
-//    ForestKernel::QuantizeFeatures(serving) bit for bit (the fast path's
-//    defining property);
-//  - |quantized - exact| must stay within the kernel's documented
-//    quantization bound on every output slot.
+//  - kernel outputs must equal the legacy node walk bit for bit;
+//  - every sweep run must equal the single-thread kernel run bit for bit.
 //
 // With --json[=PATH] the measurements land in BENCH_forest_inference.json;
-// the per-result "deterministic" and "within_bound" flags feed
-// bbv_bench_compare's never-decrease rule, so CI fails loudly if
-// equivalence or the error contract ever regresses.
+// the per-result "deterministic" flag feeds bbv_bench_compare's
+// never-decrease rule, so CI fails loudly if equivalence ever regresses.
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -31,7 +24,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "linalg/matrix.h"
-#include "ml/forest_kernel.h"
 #include "ml/gradient_boosted_trees.h"
 #include "ml/random_forest.h"
 
@@ -110,31 +102,10 @@ double TimeBest(const Run& run, std::vector<double>& artifact) {
   return best;
 }
 
-double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
-  BBV_CHECK_EQ(a.size(), b.size());
-  double max_diff = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    max_diff = std::max(max_diff, std::abs(a[i] - b[i]));
-  }
-  return max_diff;
-}
-
 struct PathResult {
   double legacy_seconds = 0.0;
   double kernel_seconds = 0.0;
   bool identical = false;
-};
-
-/// Measurements of the quantized fast path against the bit-exact kernel.
-struct QuantResult {
-  double seconds = 0.0;
-  /// Bit-identical to the exact kernel on QuantizeFeatures(serving)?
-  bool identical_on_rounded = false;
-  /// max |quantized - exact| over every output slot.
-  double max_abs_error = 0.0;
-  /// The kernel's documented bound for this entry point.
-  double error_bound = 0.0;
-  bool WithinBound() const { return max_abs_error <= error_bound; }
 };
 
 void Report(const std::string& name, size_t rows, const PathResult& measured,
@@ -161,36 +132,10 @@ void Report(const std::string& name, size_t rows, const PathResult& measured,
   }
 }
 
-void ReportQuant(const std::string& name, size_t rows, double legacy_seconds,
-                 const QuantResult& measured,
-                 std::vector<BenchResult>& results) {
-  BenchResult result;
-  result.name = name + "_quant";
-  result.wall_seconds = measured.seconds;
-  result.extras.emplace_back("rows", static_cast<double>(rows));
-  result.extras.emplace_back("deterministic",
-                             measured.identical_on_rounded ? 1.0 : 0.0);
-  result.extras.emplace_back("within_bound",
-                             measured.WithinBound() ? 1.0 : 0.0);
-  result.extras.emplace_back("max_abs_error", measured.max_abs_error);
-  result.extras.emplace_back("error_bound", measured.error_bound);
-  result.extras.emplace_back(
-      "speedup_vs_legacy",
-      measured.seconds > 0.0 ? legacy_seconds / measured.seconds : 0.0);
-  results.push_back(result);
-  std::printf(
-      "%-18s rows=%zu wall=%.4fs identical_on_rounded=%s "
-      "max_err=%.3e bound=%.3e within_bound=%s\n",
-      result.name.c_str(), rows, measured.seconds,
-      measured.identical_on_rounded ? "yes" : "NO", measured.max_abs_error,
-      measured.error_bound, measured.WithinBound() ? "yes" : "NO");
-}
-
 int RunBenchmark(int argc, char** argv) {
   RunConfig config = ParseArgs(argc, argv);
   PrintHeader("forest_inference",
-              "legacy node walk vs flattened kernel vs quantized fast path, "
-              "100-tree ensembles",
+              "legacy node walk vs flattened kernel, 100-tree ensembles",
               config);
 
   // Fitted models shared by every workload.
@@ -218,17 +163,7 @@ int RunBenchmark(int argc, char** argv) {
     BBV_CHECK(gbt.Fit(train, labels, 2, rng).ok());
   }
 
-  // Quantized kernels compiled from the same fitted ensembles. The forest's
-  // deep trees exercise the width-8 stepping path, the depth-3 boosted
-  // trees the QuickScorer bitvector path.
-  const ml::ForestKernel forest_quant = ml::ForestKernel::Compile(
-      forest.trees(), ml::ForestKernel::Options{.quantized = true});
-  const ml::ForestKernel gbt_quant = ml::ForestKernel::Compile(
-      gbt.trees(), ml::ForestKernel::Options{.quantized = true});
   const auto num_classes = static_cast<size_t>(gbt.num_classes());
-  std::printf("bitvector_trees: forest=%zu gbt=%zu\n",
-              forest_quant.num_bitvector_trees(),
-              gbt_quant.num_bitvector_trees());
 
   auto gbt_base_scores = [&](size_t rows) {
     std::vector<double> scores(rows * num_classes);
@@ -242,17 +177,14 @@ int RunBenchmark(int argc, char** argv) {
 
   std::vector<BenchResult> results;
   bool all_identical = true;
-  bool all_within_bound = true;
   double rf_100k_kernel_seconds = 0.0;
-  double rf_100k_quant_seconds = 0.0;
+  std::vector<double> rf_100k_predictions;
   for (const size_t rows : {size_t{10'000}, size_t{100'000}}) {
     // Single-thread pin: the headline ratios measure the kernels, not the
     // machine's core count (the sweep below covers scaling).
     ScopedThreadsEnv env(1);
     const linalg::Matrix serving = MakeFeatures(rows, config.seed + rows);
     const std::string suffix = rows == 10'000 ? "_10k" : "_100k";
-    // The rounded serving copy the quantized path must match bit for bit.
-    const linalg::Matrix rounded = ml::ForestKernel::QuantizeFeatures(serving);
 
     PathResult forest_measured;
     std::vector<double> legacy_predictions;
@@ -270,30 +202,9 @@ int RunBenchmark(int argc, char** argv) {
     all_identical = all_identical && forest_measured.identical;
     Report("rf" + suffix, rows, forest_measured, results);
 
-    QuantResult forest_quant_measured;
-    std::vector<double> quant_predictions(rows);
-    forest_quant_measured.seconds = TimeBest(
-        [&] {
-          forest_quant.PredictMeanInto(serving, quant_predictions);
-          return quant_predictions;
-        },
-        quant_predictions);
-    std::vector<double> rounded_predictions(rows);
-    forest.kernel().PredictMeanInto(rounded, rounded_predictions);
-    forest_quant_measured.identical_on_rounded =
-        quant_predictions == rounded_predictions;
-    forest_quant_measured.max_abs_error =
-        MaxAbsDiff(quant_predictions, kernel_predictions);
-    forest_quant_measured.error_bound =
-        forest_quant.QuantizationMeanErrorBound();
-    all_identical =
-        all_identical && forest_quant_measured.identical_on_rounded;
-    all_within_bound = all_within_bound && forest_quant_measured.WithinBound();
-    ReportQuant("rf" + suffix, rows, forest_measured.legacy_seconds,
-                forest_quant_measured, results);
     if (rows == 100'000) {
       rf_100k_kernel_seconds = forest_measured.kernel_seconds;
-      rf_100k_quant_seconds = forest_quant_measured.seconds;
+      rf_100k_predictions = kernel_predictions;
     }
 
     PathResult gbt_measured;
@@ -314,73 +225,45 @@ int RunBenchmark(int argc, char** argv) {
     gbt_measured.identical = legacy_scores == kernel_scores;
     all_identical = all_identical && gbt_measured.identical;
     Report("gbt" + suffix, rows, gbt_measured, results);
-
-    QuantResult gbt_quant_measured;
-    std::vector<double> quant_scores;
-    gbt_quant_measured.seconds = TimeBest(
-        [&] {
-          std::vector<double> scores = gbt_base_scores(rows);
-          gbt_quant.AccumulateInto(serving, gbt.learning_rate(), num_classes,
-                                   scores);
-          return scores;
-        },
-        quant_scores);
-    std::vector<double> rounded_scores = gbt_base_scores(rows);
-    gbt.kernel().AccumulateInto(rounded, gbt.learning_rate(), num_classes,
-                                rounded_scores);
-    gbt_quant_measured.identical_on_rounded = quant_scores == rounded_scores;
-    gbt_quant_measured.max_abs_error = MaxAbsDiff(quant_scores, kernel_scores);
-    gbt_quant_measured.error_bound = gbt_quant.QuantizationAccumulateErrorBound(
-        gbt.learning_rate(), num_classes);
-    all_identical = all_identical && gbt_quant_measured.identical_on_rounded;
-    all_within_bound = all_within_bound && gbt_quant_measured.WithinBound();
-    ReportQuant("gbt" + suffix, rows, gbt_measured.legacy_seconds,
-                gbt_quant_measured, results);
   }
 
-  // Thread sweep over the 1e5-row forest workloads: exact and quantized
-  // kernels at 2/4/8 threads, speedup relative to the pinned
-  // single-thread runs above. Only meaningful when hardware_concurrency
-  // (recorded in the JSON header) covers the thread count.
+  // Thread sweep over the 1e5-row forest workload at 2/4/8 threads, speedup
+  // relative to the pinned single-thread run above. Only meaningful when
+  // hardware_concurrency (recorded in the JSON header) covers the thread
+  // count.
   {
     const size_t rows = 100'000;
     const linalg::Matrix serving = MakeFeatures(rows, config.seed + rows);
     for (const int threads : kSweepThreads) {
       ScopedThreadsEnv env(threads);
       std::vector<double> predictions(rows);
-      for (const bool quantized : {false, true}) {
-        const double serial_seconds =
-            quantized ? rf_100k_quant_seconds : rf_100k_kernel_seconds;
-        const double seconds = TimeBest(
-            [&] {
-              if (quantized) {
-                forest_quant.PredictMeanInto(serving, predictions);
-              } else {
-                forest.PredictInto(serving, predictions);
-              }
-              return predictions;
-            },
-            predictions);
-        BenchResult result;
-        result.name = quantized ? "rf_100k_quant" : "rf_100k_kernel";
-        result.threads = threads;
-        result.wall_seconds = seconds;
-        result.speedup_vs_serial =
-            seconds > 0.0 ? serial_seconds / seconds : 0.0;
-        result.extras.emplace_back("rows", static_cast<double>(rows));
-        results.push_back(result);
-        std::printf("%-18s threads=%d wall=%.4fs speedup_vs_serial=%.2fx\n",
-                    result.name.c_str(), threads, seconds,
-                    result.speedup_vs_serial);
-      }
+      const double seconds = TimeBest(
+          [&] {
+            forest.PredictInto(serving, predictions);
+            return predictions;
+          },
+          predictions);
+      const bool identical = predictions == rf_100k_predictions;
+      all_identical = all_identical && identical;
+      BenchResult result;
+      result.name = "rf_100k_kernel";
+      result.threads = threads;
+      result.wall_seconds = seconds;
+      result.speedup_vs_serial =
+          seconds > 0.0 ? rf_100k_kernel_seconds / seconds : 0.0;
+      result.extras.emplace_back("rows", static_cast<double>(rows));
+      result.extras.emplace_back("deterministic", identical ? 1.0 : 0.0);
+      results.push_back(result);
+      std::printf(
+          "%-18s threads=%d wall=%.4fs speedup_vs_serial=%.2fx "
+          "identical=%s\n",
+          result.name.c_str(), threads, seconds, result.speedup_vs_serial,
+          identical ? "yes" : "NO");
     }
   }
 
   if (!config.json_path.empty()) {
-    WriteBenchJson(
-        config.json_path, "forest_inference", config, results,
-        {{"kernel_paths", "legacy,exact,quantized"},
-         {"quantized_config", "width8_tiles+bitvector_shallow_trees"}});
+    WriteBenchJson(config.json_path, "forest_inference", config, results);
     std::printf("wrote %s\n", config.json_path.c_str());
   }
   MaybeWriteTelemetryJson(config);
@@ -390,14 +273,8 @@ int RunBenchmark(int argc, char** argv) {
   if (!all_identical) {
     std::fprintf(stderr,
                  "FAIL: kernel and legacy node-walk predictions diverge (or "
-                 "the quantized path diverges from the exact kernel on "
-                 "rounded inputs) — an equivalence contract is broken\n");
-    return 1;
-  }
-  if (!all_within_bound) {
-    std::fprintf(stderr,
-                 "FAIL: quantized fast-path outputs exceed the documented "
-                 "quantization error bound\n");
+                 "a threaded kernel run diverges from the single-thread "
+                 "one) — an equivalence contract is broken\n");
     return 1;
   }
   return 0;

@@ -20,7 +20,6 @@
 #include "errors/numeric_errors.h"
 #include "featurize/pipeline.h"
 #include "ml/decision_tree.h"
-#include "ml/forest_kernel.h"
 #include "ml/random_forest.h"
 #include "stats/hypothesis.h"
 #include "stats/quantile_sketch.h"
@@ -116,11 +115,10 @@ void BM_RandomForestInference(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomForestInference)->Arg(25)->Arg(100);
 
-/// Shared fixture for the split-search microbenchmarks: one regression-tree
-/// fit over `rows` x 16 uniform features with a noisy linear target, timed
-/// end to end (for the binned variant this includes building the
-/// FeatureBinning, matching what a single-tree caller pays).
-void RunSplitSearchBenchmark(benchmark::State& state, bool binned) {
+/// One exact regression-tree fit over `rows` x 16 uniform features with a
+/// noisy linear target, timed end to end (including the tree's own sort,
+/// which is what a single-tree caller pays).
+void BM_SplitSearchExact(benchmark::State& state) {
   common::Rng data_rng(9);
   const size_t rows = static_cast<size_t>(state.range(0));
   const size_t dim = 16;
@@ -131,58 +129,15 @@ void RunSplitSearchBenchmark(benchmark::State& state, bool binned) {
     targets[i] = 2.0 * features.At(i, 0) - features.At(i, 3) +
                  data_rng.Gaussian(0.0, 0.1);
   }
-  ml::TreeOptions options;
-  options.binned_split_search = binned;
   for (auto _ : state) {
-    ml::RegressionTree tree(options);
+    ml::RegressionTree tree;
     common::Rng rng(13);
     BBV_CHECK(tree.Fit(features, targets, rng).ok());
     benchmark::DoNotOptimize(tree);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-
-void BM_SplitSearchExact(benchmark::State& state) {
-  RunSplitSearchBenchmark(state, /*binned=*/false);
-}
 BENCHMARK(BM_SplitSearchExact)->Arg(100000)->Unit(benchmark::kMillisecond);
-
-void BM_SplitSearchBinned(benchmark::State& state) {
-  RunSplitSearchBenchmark(state, /*binned=*/true);
-}
-BENCHMARK(BM_SplitSearchBinned)->Arg(100000)->Unit(benchmark::kMillisecond);
-
-void BM_KernelTileWidth8(benchmark::State& state) {
-  // Quantized width-8 tile traversal over a fitted 100-tree forest; the
-  // compare point is BM_RandomForestInference's scalar walk and the
-  // forest_inference bench's exact-kernel timings.
-  common::Rng rng(10);
-  const size_t dim = 16;
-  linalg::Matrix features(2000, dim);
-  std::vector<double> targets(features.rows());
-  for (size_t i = 0; i < features.rows(); ++i) {
-    for (size_t j = 0; j < dim; ++j) features.At(i, j) = rng.Uniform();
-    targets[i] = rng.Uniform();
-  }
-  ml::RandomForestRegressor::Options options;
-  options.num_trees = 100;
-  ml::RandomForestRegressor forest(options);
-  BBV_CHECK(forest.Fit(features, targets, rng).ok());
-  const ml::ForestKernel quantized = ml::ForestKernel::Compile(
-      forest.trees(), ml::ForestKernel::Options{.quantized = true});
-  const size_t serving_rows = static_cast<size_t>(state.range(0));
-  linalg::Matrix serving(serving_rows, dim);
-  for (size_t i = 0; i < serving_rows; ++i) {
-    for (size_t j = 0; j < dim; ++j) serving.At(i, j) = rng.Uniform();
-  }
-  std::vector<double> predictions(serving_rows);
-  for (auto _ : state) {
-    quantized.PredictMeanInto(serving, predictions);
-    benchmark::DoNotOptimize(predictions.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_KernelTileWidth8)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 void BM_MissingValuesCorruption(benchmark::State& state) {
   common::Rng rng(4);

@@ -49,33 +49,19 @@ void MakeRegressionData(size_t rows, size_t cols, uint64_t seed,
   }
 }
 
-std::string RunForestFitImpl(const RunConfig& config, bool binned) {
+std::string RunForestFit(const RunConfig& config) {
   linalg::Matrix features;
   std::vector<double> targets;
   MakeRegressionData(config.fast ? 2000 : 8000, 24, config.seed, features,
                      targets);
   ml::RandomForestRegressor::Options options;
   options.num_trees = config.fast ? 64 : 128;
-  options.tree.binned_split_search = binned;
   ml::RandomForestRegressor forest(options);
   common::Rng rng(config.seed);
   BBV_CHECK(forest.Fit(features, targets, rng).ok());
   std::ostringstream out;
   BBV_CHECK(forest.Save(out).ok());
   return out.str();
-}
-
-std::string RunForestFit(const RunConfig& config) {
-  return RunForestFitImpl(config, /*binned=*/false);
-}
-
-/// Same fit through the histogram split search: the serialized ensemble
-/// must still be byte-identical at every thread count (the binning is
-/// built once per Fit and shared read-only across the tree workers), and
-/// the serial wall-time ratio against `forest_fit` lands in the
-/// "speedup_vs_exact" extra.
-std::string RunForestFitBinned(const RunConfig& config) {
-  return RunForestFitImpl(config, /*binned=*/true);
 }
 
 std::string RunMetaTrain(const RunConfig& config) {
@@ -131,16 +117,12 @@ int main(int argc, char** argv) {
 
   const Workload workloads[] = {
       {"forest_fit", &RunForestFit},
-      {"forest_fit_binned", &RunForestFitBinned},
       {"meta_train", &RunMetaTrain},
       {"cv_mae", &RunCvMae},
   };
 
   std::vector<BenchResult> results;
   bool all_deterministic = true;
-  // Serial exact forest-fit time: the reference for the binned workload's
-  // speedup_vs_exact extra (forest_fit runs first in the workload list).
-  double forest_fit_serial_seconds = 0.0;
   for (const Workload& workload : workloads) {
     std::string serial_digest;
     double serial_seconds = 0.0;
@@ -152,9 +134,6 @@ int main(int argc, char** argv) {
       if (threads == 1) {
         serial_digest = digest;
         serial_seconds = seconds;
-        if (workload.name == "forest_fit") {
-          forest_fit_serial_seconds = seconds;
-        }
       }
       const bool deterministic = digest == serial_digest;
       all_deterministic = all_deterministic && deterministic;
@@ -164,13 +143,6 @@ int main(int argc, char** argv) {
       result.wall_seconds = seconds;
       result.speedup_vs_serial = seconds > 0.0 ? serial_seconds / seconds : 0.0;
       result.extras.emplace_back("deterministic", deterministic ? 1.0 : 0.0);
-      if (workload.name == "forest_fit_binned" && threads == 1) {
-        // How much the histogram split search buys over the exact one on
-        // the same single-threaded fit.
-        result.extras.emplace_back(
-            "speedup_vs_exact",
-            seconds > 0.0 ? forest_fit_serial_seconds / seconds : 0.0);
-      }
       results.push_back(result);
       std::printf("%-17s threads=%d wall=%.3fs speedup=%.2fx identical=%s\n",
                   workload.name.c_str(), threads, seconds,
@@ -179,8 +151,7 @@ int main(int argc, char** argv) {
   }
 
   if (!config.json_path.empty()) {
-    WriteBenchJson(config.json_path, "parallel_scaling", config, results,
-                   {{"split_search", "exact+binned256"}});
+    WriteBenchJson(config.json_path, "parallel_scaling", config, results);
     std::printf("wrote %s\n", config.json_path.c_str());
   }
   MaybeWriteTelemetryJson(config);

@@ -1,5 +1,6 @@
 #include "common/serialize.h"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -20,6 +21,25 @@ template <typename T>
 bool ReadRaw(std::istream& in, T& value) {
   in.read(reinterpret_cast<char*>(&value), sizeof(T));
   return static_cast<bool>(in);
+}
+
+/// Reads `count` elements into `values`, at most 1 MiB per step, growing
+/// the container only as bytes arrive: a corrupt length prefix then fails
+/// at the end of the stream instead of allocating its full size up front.
+template <typename Container>
+bool ReadChunked(std::istream& in, uint64_t count, Container& values) {
+  using T = typename Container::value_type;
+  constexpr uint64_t kChunkElements = (uint64_t{1} << 20) / sizeof(T);
+  uint64_t done = 0;
+  while (done < count) {
+    const uint64_t step = std::min(count - done, kChunkElements);
+    values.resize(done + step);
+    in.read(reinterpret_cast<char*>(values.data() + done),
+            static_cast<std::streamsize>(step * sizeof(T)));
+    if (!in) return false;
+    done += step;
+  }
+  return true;
 }
 
 }  // namespace
@@ -101,9 +121,10 @@ Result<std::string> BinaryReader::ReadString() {
   if (size > kMaxElementCount) {
     return Status::InvalidArgument("implausible string length");
   }
-  std::string value(size, '\0');
-  in_.read(value.data(), static_cast<std::streamsize>(size));
-  if (!in_) return Status::IoError("truncated stream");
+  std::string value;
+  if (!ReadChunked(in_, size, value)) {
+    return Status::IoError("truncated stream");
+  }
   return value;
 }
 
@@ -112,10 +133,10 @@ Result<std::vector<double>> BinaryReader::ReadDoubleVector() {
   if (size > kMaxElementCount) {
     return Status::InvalidArgument("implausible vector length");
   }
-  std::vector<double> values(size);
-  in_.read(reinterpret_cast<char*>(values.data()),
-           static_cast<std::streamsize>(size * sizeof(double)));
-  if (!in_) return Status::IoError("truncated stream");
+  std::vector<double> values;
+  if (!ReadChunked(in_, size, values)) {
+    return Status::IoError("truncated stream");
+  }
   return values;
 }
 
@@ -124,10 +145,10 @@ Result<std::vector<int32_t>> BinaryReader::ReadInt32Vector() {
   if (size > kMaxElementCount) {
     return Status::InvalidArgument("implausible vector length");
   }
-  std::vector<int32_t> values(size);
-  in_.read(reinterpret_cast<char*>(values.data()),
-           static_cast<std::streamsize>(size * sizeof(int32_t)));
-  if (!in_) return Status::IoError("truncated stream");
+  std::vector<int32_t> values;
+  if (!ReadChunked(in_, size, values)) {
+    return Status::IoError("truncated stream");
+  }
   return values;
 }
 

@@ -141,11 +141,9 @@ common::Status PerformancePredictor::TrainFromStatistics(
   if (options_.tree_count_grid.size() > 1 &&
       scores.size() >= static_cast<size_t>(options_.cv_folds)) {
     for (int tree_count : options_.tree_count_grid) {
-      const bool binned = options_.binned_split_search;
-      auto factory = [tree_count, binned]() {
+      auto factory = [tree_count]() {
         ml::RandomForestRegressor::Options forest_options;
         forest_options.num_trees = tree_count;
-        forest_options.tree.binned_split_search = binned;
         return ml::RandomForestRegressor(forest_options);
       };
       BBV_ASSIGN_OR_RETURN(
@@ -162,7 +160,6 @@ common::Status PerformancePredictor::TrainFromStatistics(
 
   ml::RandomForestRegressor::Options forest_options;
   forest_options.num_trees = best_trees;
-  forest_options.tree.binned_split_search = options_.binned_split_search;
   regressor_ = ml::RandomForestRegressor(forest_options);
   BBV_RETURN_NOT_OK(regressor_.Fit(features, scores, rng));
   // The conformal pass runs strictly AFTER the final fit and on its own
@@ -209,8 +206,6 @@ common::Status PerformancePredictor::CalibrateConformal(
         for (size_t row : fold.train_rows) train_y.push_back(scores[row]);
         ml::RandomForestRegressor::Options forest_options;
         forest_options.num_trees = selected_tree_count_;
-        forest_options.tree.binned_split_search =
-            options_.binned_split_search;
         ml::RandomForestRegressor fold_model(forest_options);
         BBV_RETURN_NOT_OK(fold_model.Fit(train_x, train_y, fold_rngs[f]));
         fold_predictions[f].resize(fold.test_rows.size());

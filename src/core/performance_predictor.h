@@ -63,12 +63,6 @@ class PerformancePredictor {
     /// `cv_folds`-fold cross validation minimizing MAE (paper §4).
     std::vector<int> tree_count_grid = {25, 50, 100};
     int cv_folds = 5;
-    /// Opt-in histogram (256-bin quantile) split search for every forest
-    /// this predictor fits — the CV grid-search candidates and the final
-    /// regressor. Cheapens per-tenant (re)training; results stay
-    /// deterministic and thread-count independent, but are a bounded
-    /// approximation of the exact split search (see TreeOptions).
-    bool binned_split_search = false;
     /// Conformal calibration of the estimate intervals (ScoreEstimate
     /// lo/hi). When on, training runs an out-of-fold residual pass *after*
     /// the final regressor fit — the fitted forest (and hence every

@@ -13,7 +13,10 @@ common::Result<Matrix> ReadMatrix(common::BinaryReader& reader) {
   BBV_ASSIGN_OR_RETURN(uint64_t cols, reader.ReadUint64());
   BBV_ASSIGN_OR_RETURN(std::vector<double> values,
                        reader.ReadDoubleVector());
-  if (values.size() != rows * cols) {
+  // Compare without forming rows * cols, which a corrupt header can make
+  // wrap around to the payload size.
+  if (cols == 0 ? !values.empty()
+                : (values.size() % cols != 0 || values.size() / cols != rows)) {
     return common::Status::InvalidArgument("corrupt matrix payload");
   }
   return Matrix(rows, cols, std::move(values));

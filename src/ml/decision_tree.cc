@@ -1,13 +1,11 @@
 #include "ml/decision_tree.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
 
 #include "common/check.h"
-#include "ml/feature_binning.h"
 #include "ml/feature_presort.h"
 
 namespace bbv::ml {
@@ -44,73 +42,20 @@ size_t PartitionRows(const linalg::Matrix& features, std::vector<size_t>& rows,
   return static_cast<size_t>(middle - rows.begin());
 }
 
-/// Histogram split search for one feature of the node rows[begin, end):
-/// accumulates per-bin (count, target sum) in a single unsorted pass over
-/// the node's rows and scans the <= 255 candidate cuts. Gain uses the SSE
-/// decomposition  node_sse - l_sse - r_sse = S_l^2/n_l + S_r^2/n_r - S^2/n,
-/// which needs no per-bin squared sums. The winning threshold is the raw
-/// cut value, so the later value-space partition splits rows exactly where
-/// the histogram counted them (codes are lower-bound indices:
-/// code(v) <= b  <=>  v <= cut[b]).
-void BestBinnedSplit(const FeatureBinning& binning,
-                     const std::vector<double>& targets,
-                     const std::vector<size_t>& rows, size_t begin, size_t end,
-                     size_t feature, double sum, size_t min_samples_leaf,
-                     SplitCandidate& best) {
-  const size_t num_cuts = binning.NumCuts(feature);
-  if (num_cuts == 0) return;  // globally constant column
-  const uint8_t* codes = binning.Codes(feature);
-  std::array<double, FeatureBinning::kMaxCuts + 1> bin_sum;
-  std::array<size_t, FeatureBinning::kMaxCuts + 1> bin_count;
-  std::fill_n(bin_sum.begin(), num_cuts + 1, 0.0);
-  std::fill_n(bin_count.begin(), num_cuts + 1, size_t{0});
-  for (size_t i = begin; i < end; ++i) {
-    const size_t row = rows[i];
-    const size_t code = codes[row];
-    bin_count[code] += 1;
-    bin_sum[code] += targets[row];
-  }
-  const size_t count = end - begin;
-  const double n = static_cast<double>(count);
-  double left_sum = 0.0;
-  size_t left_count = 0;
-  for (size_t b = 0; b < num_cuts; ++b) {
-    left_count += bin_count[b];
-    left_sum += bin_sum[b];
-    if (left_count == count) break;  // remaining bins are empty on this node
-    if (left_count == 0 || left_count < min_samples_leaf ||
-        count - left_count < min_samples_leaf) {
-      continue;
-    }
-    const double nl = static_cast<double>(left_count);
-    const double nr = static_cast<double>(count - left_count);
-    const double right_sum = sum - left_sum;
-    const double gain = left_sum * left_sum / nl +
-                        right_sum * right_sum / nr - sum * sum / n;
-    if (gain > best.gain) {
-      best.found = true;
-      best.feature = feature;
-      best.threshold = binning.CutValue(feature, b);
-      best.gain = gain;
-    }
-  }
-}
-
 }  // namespace
 
 namespace internal {
 
 /// Per-Fit scratch state of the tree growers, allocated once per Fit so that
 /// growing a regression-tree node allocates nothing but the node: the
-/// candidate-feature buffer, and the data of the split search in use — the
-/// FeatureBinning of the histogram search, or the per-feature sorted entries
-/// of the exact one.
+/// candidate-feature buffer and the per-feature sorted entries of the split
+/// search.
 ///
-/// Exact search invariant: for every feature f, entries [begin, end) of f
-/// hold the rows of the node that owns rows[begin, end), bootstrap repeats
-/// included, in ascending (value, target) order. UseExact establishes it
-/// for the root; SplitSorted keeps it for both children by
-/// stable-partitioning every feature's entries.
+/// Invariant: for every feature f, entries [begin, end) of f hold the rows
+/// of the node that owns rows[begin, end), bootstrap repeats included, in
+/// ascending (value, target) order. SortEntries establishes it for the
+/// root; SplitSorted keeps it for both children by stable-partitioning
+/// every feature's entries.
 class GrowContext {
  public:
   GrowContext(size_t num_features, double feature_fraction)
@@ -142,17 +87,14 @@ class GrowContext {
     return {candidates_.data(), num_candidates_};
   }
 
-  void UseBinned(const FeatureBinning& binning) { binning_ = &binning; }
-  /// The histogram search's binning, or nullptr under the exact search.
-  const FeatureBinning* binning() const { return binning_; }
-
-  /// Selects the exact search and builds every feature's sorted entries
-  /// for `rows` (bootstrap repeats included): expanded from `presort` in
-  /// O(F * (N + n)) when there is one, otherwise sorted here, which needs
-  /// no full-matrix index for a tree that is fitted once.
-  void UseExact(const linalg::Matrix& features,
-                std::span<const double> targets, std::span<const size_t> rows,
-                const FeaturePresort* presort) {
+  /// Builds every feature's sorted entries for `rows` (bootstrap repeats
+  /// included): expanded from `presort` in O(F * (N + n)) when there is
+  /// one, otherwise sorted here, which needs no full-matrix index for a
+  /// tree that is fitted once.
+  void SortEntries(const linalg::Matrix& features,
+                   std::span<const double> targets,
+                   std::span<const size_t> rows,
+                   const FeaturePresort* presort) {
     values_ = features.data().data();
     num_features_ = features.cols();
     BBV_CHECK_LE(features.rows(),
@@ -178,7 +120,6 @@ class GrowContext {
       }
     }
   }
-  bool exact() const { return values_ != nullptr; }
 
   /// Values of `feature`: row r's is Column(feature)[r * num_features()],
   /// the row-major training matrix read in place.
@@ -225,8 +166,7 @@ class GrowContext {
   std::vector<size_t> candidates_;
   size_t num_candidates_;
   bool sample_;
-  const FeatureBinning* binning_ = nullptr;
-  /// The exact search's row-major training matrix and its column count.
+  /// The row-major training matrix and its column count.
   const double* values_ = nullptr;
   size_t num_features_ = 0;
   /// sorted_[f][position]: one list of the tree's rows per feature. One
@@ -251,7 +191,6 @@ common::Status RegressionTree::Fit(const linalg::Matrix& features,
                                    const std::vector<double>& targets,
                                    const std::vector<size_t>& rows,
                                    common::Rng& rng,
-                                   const FeatureBinning* binning,
                                    const FeaturePresort* presort) {
   if (features.rows() != targets.size()) {
     return common::Status::InvalidArgument(
@@ -263,27 +202,13 @@ common::Status RegressionTree::Fit(const linalg::Matrix& features,
   if (*std::max_element(rows.begin(), rows.end()) >= features.rows()) {
     return common::Status::InvalidArgument("row id out of range");
   }
-  internal::GrowContext context(features.cols(), options_.feature_fraction);
-  FeatureBinning local_binning;
-  if (options_.binned_split_search) {
-    if (binning == nullptr) {
-      local_binning = FeatureBinning::Build(features);
-      binning = &local_binning;
-    }
-    if (binning->num_rows() != features.rows() ||
-        binning->num_features() != features.cols()) {
-      return common::Status::InvalidArgument(
-          "feature binning does not match the training matrix shape");
-    }
-    context.UseBinned(*binning);
-  } else {
-    if (presort != nullptr && (presort->num_rows() != features.rows() ||
-                               presort->num_features() != features.cols())) {
-      return common::Status::InvalidArgument(
-          "feature presort does not match the training matrix shape");
-    }
-    context.UseExact(features, targets, rows, presort);
+  if (presort != nullptr && (presort->num_rows() != features.rows() ||
+                             presort->num_features() != features.cols())) {
+    return common::Status::InvalidArgument(
+        "feature presort does not match the training matrix shape");
   }
+  internal::GrowContext context(features.cols(), options_.feature_fraction);
+  context.SortEntries(features, targets, rows, presort);
   nodes_.clear();
   std::vector<size_t> mutable_rows = rows;
   Grow(features, targets, mutable_rows, 0, mutable_rows.size(), 0, context,
@@ -294,11 +219,10 @@ common::Status RegressionTree::Fit(const linalg::Matrix& features,
 common::Status RegressionTree::Fit(const linalg::Matrix& features,
                                    const std::vector<double>& targets,
                                    common::Rng& rng,
-                                   const FeatureBinning* binning,
                                    const FeaturePresort* presort) {
   std::vector<size_t> rows(features.rows());
   std::iota(rows.begin(), rows.end(), 0);
-  return Fit(features, targets, rows, rng, binning, presort);
+  return Fit(features, targets, rows, rng, presort);
 }
 
 int32_t RegressionTree::Grow(const linalg::Matrix& features,
@@ -330,13 +254,8 @@ int32_t RegressionTree::Grow(const linalg::Matrix& features,
 
   SplitCandidate best;
   for (size_t feature : context.Candidates(rng)) {
-    if (context.binning() != nullptr) {
-      BestBinnedSplit(*context.binning(), targets, rows, begin, end, feature,
-                      sum, options_.min_samples_leaf, best);
-      continue;
-    }
-    // Exact search: one pass over the node's rows in (value, target) order,
-    // the order the sums have always been accumulated in.
+    // One pass over the node's rows in (value, target) order, the order the
+    // sums have always been accumulated in.
     const double* column = context.Column(feature);
     const size_t stride = context.num_features();
     const uint32_t* sorted = context.Sorted(feature, begin);
@@ -387,8 +306,7 @@ int32_t RegressionTree::Grow(const linalg::Matrix& features,
     // empty child's mean would be NaN — so keep this node as a leaf.
     return node_id;
   }
-  if (context.exact() &&
-      ChildMaySplit(options_, depth, split - begin, end - split)) {
+  if (ChildMaySplit(options_, depth, split - begin, end - split)) {
     context.SplitSorted(begin, end, best.feature, best.threshold);
   }
 
@@ -456,7 +374,7 @@ common::Status DecisionTreeClassifier::Fit(const linalg::Matrix& features,
   // tied values; the labels break value ties all the same.
   const std::vector<double> label_values(labels.begin(), labels.end());
   internal::GrowContext context(features.cols(), options_.feature_fraction);
-  context.UseExact(features, label_values, rows, nullptr);
+  context.SortEntries(features, label_values, rows, nullptr);
   Grow(features, labels, rows, 0, rows.size(), 0, context, rng);
   return common::Status::OK();
 }
@@ -558,6 +476,14 @@ int32_t DecisionTreeClassifier::Grow(const linalg::Matrix& features,
 linalg::Matrix DecisionTreeClassifier::PredictProba(
     const linalg::Matrix& features) const {
   BBV_CHECK(!nodes_.empty()) << "PredictProba before Fit";
+  int32_t max_feature = -1;
+  for (const Node& node : nodes_) {
+    max_feature = std::max(max_feature, node.feature);
+  }
+  BBV_CHECK(max_feature < 0 ||
+            static_cast<size_t>(max_feature) < features.cols())
+      << "tree reads feature " << max_feature << " but the batch has "
+      << features.cols() << " columns";
   const auto m = static_cast<size_t>(num_classes_);
   linalg::Matrix result(features.rows(), m);
   for (size_t i = 0; i < features.rows(); ++i) {
@@ -684,9 +610,11 @@ common::Result<DecisionTreeClassifier> DecisionTreeClassifier::Load(
   if (tree.num_classes_ < 2 || count == 0 || count > 100'000'000) {
     return common::Status::InvalidArgument("corrupt tree header");
   }
-  tree.nodes_.resize(count);
+  // Nodes are appended as they are read: a corrupt count must not allocate
+  // up front.
   const auto node_count = static_cast<int32_t>(count);
-  for (Node& node : tree.nodes_) {
+  for (uint64_t i = 0; i < count; ++i) {
+    Node& node = tree.nodes_.emplace_back();
     BBV_ASSIGN_OR_RETURN(node.feature, reader.ReadInt32());
     BBV_ASSIGN_OR_RETURN(node.threshold, reader.ReadDouble());
     BBV_ASSIGN_OR_RETURN(node.left, reader.ReadInt32());
@@ -697,10 +625,16 @@ common::Result<DecisionTreeClassifier> DecisionTreeClassifier::Load(
         static_cast<size_t>(tree.num_classes_)) {
       return common::Status::InvalidArgument("corrupt leaf payload");
     }
+    // Children come after their parent (pre-order), which also rules out
+    // cycles that would make PredictProba loop forever.
+    const auto parent = static_cast<int32_t>(i);
     if (node.feature >= 0 &&
-        (node.left < 0 || node.left >= node_count || node.right < 0 ||
-         node.right >= node_count)) {
+        (node.left <= parent || node.left >= node_count ||
+         node.right <= parent || node.right >= node_count)) {
       return common::Status::InvalidArgument("corrupt tree child index");
+    }
+    if (!std::isfinite(node.threshold)) {
+      return common::Status::InvalidArgument("non-finite tree threshold");
     }
   }
   return tree;

@@ -14,7 +14,6 @@
 
 namespace bbv::ml {
 
-class FeatureBinning;
 class FeaturePresort;
 
 namespace internal {
@@ -31,14 +30,6 @@ struct TreeOptions {
   double feature_fraction = 1.0;
   /// Minimum impurity decrease to accept a split.
   double min_impurity_decrease = 1e-9;
-  /// Opt-in histogram split search for RegressionTree: scan the uint8
-  /// quantile-bin histograms of a FeatureBinning (built once per ensemble
-  /// Fit, or locally when the caller passes none) instead of scanning every
-  /// distinct value of the node's presorted rows. Thresholds are restricted
-  /// to the <= 255 per-feature cut values, so binned trees are a
-  /// (deterministic, thread-count independent) approximation of the exact
-  /// search; exact stays the default. Ignored by DecisionTreeClassifier.
-  bool binned_split_search = false;
 };
 
 /// CART regression tree (variance-reduction splits, mean leaves). Used as
@@ -61,22 +52,18 @@ class RegressionTree {
 
   /// Fits the tree on rows `rows` of `features` against `targets` (full
   /// column, indexed by row id; `rows` may repeat ids, as a bootstrap
-  /// does). The exact (default) search reads `presort`, the shared
-  /// FeaturePresort of `features` and `targets`; the binned search reads
-  /// `binning`, the shared pre-binning of `features`. Each must match the
-  /// matrix shape and is ignored by the other search. Without a binning
-  /// the tree builds a local one; without a presort it sorts its own rows
-  /// once, which is cheaper for a tree that is fitted alone.
+  /// does). The split search reads `presort`, the shared FeaturePresort of
+  /// `features` and `targets`, which must match the matrix shape. Without
+  /// one the tree sorts its own rows once, which is cheaper for a tree that
+  /// is fitted alone.
   common::Status Fit(const linalg::Matrix& features,
                      const std::vector<double>& targets,
                      const std::vector<size_t>& rows, common::Rng& rng,
-                     const FeatureBinning* binning = nullptr,
                      const FeaturePresort* presort = nullptr);
 
   /// Convenience: fit on all rows.
   common::Status Fit(const linalg::Matrix& features,
                      const std::vector<double>& targets, common::Rng& rng,
-                     const FeatureBinning* binning = nullptr,
                      const FeaturePresort* presort = nullptr);
 
   /// Prediction for one feature row. This is the scalar node-walking path —

@@ -13,11 +13,11 @@ namespace bbv::ml {
 /// the training matrix ordered by (value, target) — the order std::sort
 /// gives the (value, target) pairs. A tree expands it once into per-feature
 /// sorted lists of its own rows and keeps them sorted by partitioning, so
-/// no node ever sorts (see decision_tree.cc and DESIGN.md §7.2). Row ids
+/// no node ever sorts (see decision_tree.cc and DESIGN.md §7.1). Row ids
 /// are uint32: 4 bytes per matrix cell.
 ///
-/// Built once per forest Fit and shared read-only across the tree workers,
-/// like FeatureBinning. The target tie-break makes the order, and with it
+/// Built once per forest Fit and shared read-only across the tree workers.
+/// The target tie-break makes the order, and with it
 /// the summation order of the split scan, a function of the data alone:
 /// rows that tie on both value and target contribute identically, so their
 /// relative order cannot change a sum.

@@ -31,65 +31,15 @@ namespace bbv::ml {
 /// accumulates per row in fixed tree order, so results are bit-identical to
 /// the legacy one-row-at-a-time node walk at every BBV_THREADS setting
 /// (determinism contract, see README "Concurrency model").
-///
-/// ## Quantized fast path (opt-in, Options::quantized)
-///
-/// The default compare-and-descend walk is data-dependent and double-wide,
-/// so it is bound by branch misses and memory latency. The opt-in fast path
-/// trades a *measured, bounded* quantization step for data-level
-/// parallelism:
-///
-///  - thresholds are stored as float32, rounded DOWN to the largest float
-///    whose double value does not exceed the exact threshold, so for every
-///    float feature value x:  x <= qthreshold  <=>  double(x) <= threshold.
-///    Both directions of that equivalence are BBV_CHECK-verified for every
-///    node at Compile time (the "verified at compile-of-kernel time" part
-///    of the contract);
-///  - each 8-row lane group is transposed into a float32 tile
-///    (tile[feature * 8 + lane]) and all 8 lanes descend in lockstep with a
-///    branch-free select — leaves are materialized as self-looping nodes so
-///    a tree of depth D is exactly D unconditional steps;
-///  - trees with at most 64 leaves (e.g. the depth-3 boosted trees) use a
-///    QuickScorer-style bitvector instead: one uint64 mask per internal
-///    node clears the in-order leaves of its left subtree, a row ANDs the
-///    masks of its false nodes and exits at countr_zero;
-///  - the next tree's node block is prefetched while the current tree runs.
-///
-/// Error contract: the fast path is BIT-IDENTICAL to the exact kernel
-/// evaluated on QuantizeFeatures(features) (features rounded to float32),
-/// so its only deviation from the exact result comes from that input
-/// rounding and is bounded by the per-tree leaf ranges:
-/// |fast - exact| <= QuantizationMeanErrorBound() (resp.
-/// QuantizationAccumulateErrorBound) for every row and output slot. The
-/// bit-exact path stays the default; PredictRowMean is always exact.
 class ForestKernel {
  public:
-  struct Options {
-    /// Opt into the float32 width-8 tile traversal described above. Off by
-    /// default: the default kernel stays bit-identical to the legacy scalar
-    /// node walk.
-    bool quantized = false;
-    /// Within the quantized path, evaluate trees with at most 64 leaves
-    /// through the QuickScorer-style bitvector instead of lockstep
-    /// stepping. Output is bit-identical either way (both reproduce the
-    /// exact walk on rounded inputs); this only selects the faster
-    /// evaluation strategy for shallow trees.
-    bool bitvector_shallow_trees = true;
-  };
-
   /// Empty kernel; every inference entry point BBV_CHECKs against it.
   ForestKernel() = default;
 
   /// Compiles the flattened representation from fitted trees (every tree
   /// must have at least one node). The kernel copies what it needs; the
-  /// source trees can be discarded or mutated afterwards. With
-  /// options.quantized the float32 representation is built alongside the
-  /// exact one and the threshold-rounding invariant is verified per node.
-  static ForestKernel Compile(std::span<const RegressionTree> trees,
-                              Options options);
-  static ForestKernel Compile(std::span<const RegressionTree> trees) {
-    return Compile(trees, Options{});
-  }
+  /// source trees can be discarded or mutated afterwards.
+  static ForestKernel Compile(std::span<const RegressionTree> trees);
 
   bool empty() const { return roots_.empty(); }
   size_t num_trees() const { return roots_.size(); }
@@ -99,28 +49,6 @@ class ForestKernel {
   /// Batch entry points check it against the input's column count, so a
   /// mis-shaped matrix fails fast instead of reading out of bounds.
   int32_t max_feature() const { return max_feature_; }
-
-  /// Whether the batch entry points run the quantized fast path.
-  bool quantized() const { return options_.quantized; }
-  /// Trees evaluated through the bitvector strategy (0 unless quantized).
-  size_t num_bitvector_trees() const { return num_bitvector_trees_; }
-
-  /// The input rounding the fast path is exact against: every entry cast to
-  /// float32 and back (values beyond float range saturate to +/-inf). The
-  /// quantized kernel on `features` is bit-identical to the bit-exact
-  /// kernel on QuantizeFeatures(features).
-  static linalg::Matrix QuantizeFeatures(const linalg::Matrix& features);
-  /// Scalar form of the same rounding.
-  static float QuantizeValue(double value);
-
-  /// Upper bound on |quantized - exact| for PredictMeanInto/PredictRowMean
-  /// outputs: mean per-tree leaf range plus double-summation rounding
-  /// slack. Requires a quantized kernel.
-  double QuantizationMeanErrorBound() const;
-  /// Upper bound on |quantized - exact| for any AccumulateInto output slot
-  /// at the given scale and stride (max over the stride residue classes).
-  /// Requires a quantized kernel.
-  double QuantizationAccumulateErrorBound(double scale, size_t stride) const;
 
   /// Strided accumulation: for every row r and every tree t (in ensemble
   /// order), out[r * stride + t % stride] += scale * tree_t(row r). With
@@ -135,13 +63,13 @@ class ForestKernel {
   void PredictMeanInto(const linalg::Matrix& features,
                        std::span<double> out) const;
 
-  /// Scalar convenience path: mean across trees for one feature row. Always
-  /// the bit-exact walk, even for quantized kernels. The caller guarantees
+  /// Scalar convenience path: mean across trees for one feature row. The
+  /// caller guarantees
   /// `row` has at least max_feature() + 1 entries.
   double PredictRowMean(const double* row) const;
 
   /// Per-tree leaf responses for one feature row, in ensemble order:
-  /// out[t] = tree_t(row). Always the bit-exact walk. This exposes the
+  /// out[t] = tree_t(row). This exposes the
   /// quantile-regression-forest view of the ensemble — the spread of these
   /// values is the difficulty signal core::ConformalCalibrator's
   /// kQuantileForest mode scales intervals by. `out.size()` must equal
@@ -149,28 +77,14 @@ class ForestKernel {
   void PredictRowValuesInto(const double* row, std::span<double> out) const;
 
  private:
-  /// Lanes per quantized row group: one float tile column per lane, so the
-  /// compare-and-descend step runs 8 independent rows in lockstep.
-  static constexpr size_t kLanes = 8;
-
   /// Shared tiled traversal; when `mean` is set, stride is 1 and every
   /// output slot is divided by num_trees() after accumulation.
   void Run(const linalg::Matrix& features, double scale, size_t stride,
            bool mean, std::span<double> out) const;
 
-  /// Exact walk over rows [begin, end) of one tile.
-  void RunExactTile(const linalg::Matrix& features, size_t begin, size_t end,
+  /// Walk over rows [begin, end) of one tile.
+  void RunTile(const linalg::Matrix& features, size_t begin, size_t end,
                     double scale, size_t stride, std::span<double> out) const;
-
-  /// Quantized width-8 walk over rows [begin, end) of one tile; `tile` is
-  /// the caller's scratch transpose buffer (>= max(cols, 1) * kLanes).
-  void RunQuantizedTile(const linalg::Matrix& features, size_t begin,
-                        size_t end, double scale, size_t stride,
-                        std::span<double> out, float* tile) const;
-
-  /// Builds the quantized (stepping + bitvector) representation; called by
-  /// Compile when options.quantized is set.
-  void CompileQuantized(std::span<const RegressionTree> trees);
 
   double TraverseRow(size_t tree, const double* row) const {
     int32_t node = roots_[tree];
@@ -198,44 +112,6 @@ class ForestKernel {
   // pulling each tree through cache. Either order sums per output slot in
   // ascending tree order, so the choice never changes a single bit.
   bool compact_ = false;
-
-  Options options_;
-
-  // --- Quantized stepping representation (empty unless quantized) ---
-  // Padded per-tree node blocks: internal nodes carry the floor-rounded
-  // float32 threshold, leaves are self-loops (feature 0, threshold +inf,
-  // both children pointing at themselves) holding the leaf payload, so a
-  // fixed number of steps lands every lane on its exit leaf.
-  std::vector<int32_t> qfeature_;
-  std::vector<float> qthreshold_;
-  std::vector<int32_t> qleft_;
-  std::vector<int32_t> qright_;
-  std::vector<double> qvalue_;
-  // Per-tree block offsets into the arrays above (num_trees + 1 entries;
-  // bitvector trees own an empty block) and per-tree step counts.
-  std::vector<size_t> qnode_begin_;
-  std::vector<int32_t> qdepth_;
-  // 1 for trees evaluated through the bitvector strategy.
-  std::vector<uint8_t> tree_uses_bitvector_;
-  size_t num_bitvector_trees_ = 0;
-
-  // --- QuickScorer-style bitvector representation (shallow trees) ---
-  // Per internal node: split feature/threshold plus the uint64 mask that
-  // clears the in-order leaves of its left subtree; per tree: the node
-  // block [qs_node_begin_[t], qs_node_begin_[t + 1]) and the first in-order
-  // leaf slot in qs_leaf_value_.
-  std::vector<int32_t> qs_feature_;
-  std::vector<float> qs_threshold_;
-  std::vector<uint64_t> qs_mask_;
-  std::vector<double> qs_leaf_value_;
-  std::vector<size_t> qs_node_begin_;
-  std::vector<size_t> qs_leaf_begin_;
-
-  // --- Error-bound bookkeeping (per tree, built for quantized kernels) ---
-  // leaf range (max - min) and max |leaf| per tree: the ingredients of the
-  // documented quantization bounds.
-  std::vector<double> tree_leaf_range_;
-  std::vector<double> tree_leaf_absmax_;
 };
 
 }  // namespace bbv::ml

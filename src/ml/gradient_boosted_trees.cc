@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "ml/feature_binning.h"
 
 namespace bbv::ml {
 
@@ -45,17 +44,9 @@ common::Status GradientBoostedTrees::Fit(const linalg::Matrix& features,
   trees_.reserve(static_cast<size_t>(options_.num_rounds) * m);
   const size_t sample_size = std::max<size_t>(
       2, static_cast<size_t>(options_.subsample * static_cast<double>(n)));
-  // The binning depends only on the (round-invariant) feature matrix, so
-  // one build up front serves every boosting round and class. The exact
-  // search orders value ties by target, and the targets (the gradients)
-  // change every round, so each tree sorts its own rows instead of sharing
-  // a FeaturePresort.
-  FeatureBinning binning;
-  const FeatureBinning* binning_ptr = nullptr;
-  if (options_.tree.binned_split_search) {
-    binning = FeatureBinning::Build(features);
-    binning_ptr = &binning;
-  }
+  // The exact search orders value ties by target, and the targets (the
+  // gradients) change every round, so each tree sorts its own rows instead
+  // of sharing a FeaturePresort.
   std::vector<double> gradients(n, 0.0);
   std::vector<double> round_predictions(n, 0.0);
   for (int round = 0; round < options_.num_rounds; ++round) {
@@ -74,8 +65,8 @@ common::Status GradientBoostedTrees::Fit(const linalg::Matrix& features,
       RegressionTree tree(options_.tree);
       common::Status status =
           sample.empty()
-              ? tree.Fit(features, gradients, rng, binning_ptr)
-              : tree.Fit(features, gradients, sample, rng, binning_ptr);
+              ? tree.Fit(features, gradients, rng)
+              : tree.Fit(features, gradients, sample, rng);
       BBV_RETURN_NOT_OK(status);
       tree.PredictInto(features, round_predictions);
       for (size_t i = 0; i < n; ++i) {
@@ -84,7 +75,7 @@ common::Status GradientBoostedTrees::Fit(const linalg::Matrix& features,
       trees_.push_back(std::move(tree));
     }
   }
-  kernel_ = ForestKernel::Compile(trees_, options_.kernel);
+  kernel_ = ForestKernel::Compile(trees_);
   fitted_ = true;
   return common::Status::OK();
 }

@@ -5,7 +5,6 @@
 
 #include "common/parallel.h"
 #include "common/telemetry.h"
-#include "ml/feature_binning.h"
 #include "ml/feature_presort.h"
 
 namespace bbv::ml {
@@ -35,20 +34,9 @@ common::Status RandomForestRegressor::Fit(const linalg::Matrix& features,
   // pre-forked stream, so the serialized ensemble is bit-identical at every
   // thread count.
   std::vector<common::Rng> tree_rngs = rng.ForkStreams(num_trees);
-  // One shared index per Fit for the split search in use (deterministic,
-  // read-only across the tree workers): the pre-binning of the histogram
-  // search or the presort of the exact one. Both are freed on return.
-  FeatureBinning binning;
-  FeaturePresort presort;
-  const FeatureBinning* binning_ptr = nullptr;
-  const FeaturePresort* presort_ptr = nullptr;
-  if (options_.tree.binned_split_search) {
-    binning = FeatureBinning::Build(features);
-    binning_ptr = &binning;
-  } else {
-    presort = FeaturePresort::Build(features, targets);
-    presort_ptr = &presort;
-  }
+  // One presort per Fit, shared read-only across the tree workers
+  // (deterministic) and freed on return.
+  const FeaturePresort presort = FeaturePresort::Build(features, targets);
   trees_.clear();
   BBV_ASSIGN_OR_RETURN(
       trees_,
@@ -61,11 +49,10 @@ common::Status RandomForestRegressor::Fit(const linalg::Matrix& features,
             }
             RegressionTree tree(options_.tree);
             BBV_RETURN_NOT_OK(
-                tree.Fit(features, targets, rows, tree_rng, binning_ptr,
-                         presort_ptr));
+                tree.Fit(features, targets, rows, tree_rng, &presort));
             return tree;
           }));
-  kernel_ = ForestKernel::Compile(trees_, options_.kernel);
+  kernel_ = ForestKernel::Compile(trees_);
   return common::Status::OK();
 }
 

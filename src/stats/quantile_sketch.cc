@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/serialize.h"
@@ -410,12 +411,12 @@ common::Result<QuantileSketchBank> QuantileSketchBank::Load(std::istream& in) {
     return common::Status::InvalidArgument(
         "bank claims observed rows but has no columns");
   }
-  QuantileSketchBank bank(static_cast<size_t>(columns), options);
+  // Sketches are appended as they load, so a corrupt column count cannot
+  // allocate a grid per claimed column before the stream runs out.
+  QuantileSketchBank bank(0, options);
   for (uint64_t k = 0; k < columns; ++k) {
-    BBV_ASSIGN_OR_RETURN(bank.sketches_[static_cast<size_t>(k)],
-                         QuantileSketch::Load(in));
-    if (!GridsMatch(bank.sketches_[static_cast<size_t>(k)].options(),
-                    options)) {
+    BBV_ASSIGN_OR_RETURN(QuantileSketch sketch, QuantileSketch::Load(in));
+    if (!GridsMatch(sketch.options(), options)) {
       return common::Status::InvalidArgument(
           "bank sketch grid disagrees with the bank header");
     }
@@ -424,10 +425,11 @@ common::Result<QuantileSketchBank> QuantileSketchBank::Load(std::istream& in) {
     // bank claiming rows > 0 over empty sketches would pass Load and then
     // crash PercentileFeatures (which BBV_CHECKs non-emptiness) — a process
     // abort reachable from untrusted bytes.
-    if (bank.sketches_[static_cast<size_t>(k)].count() != rows) {
+    if (sketch.count() != rows) {
       return common::Status::InvalidArgument(
           "bank sketch count disagrees with the stored row count");
     }
+    bank.sketches_.push_back(std::move(sketch));
   }
   bank.rows_observed_ = rows;
   return bank;

@@ -1,11 +1,19 @@
 // Round-trip tests for the binary persistence layer: trained artifacts must
 // reload with bit-identical predictions, and corrupt inputs must fail with
-// readable errors instead of crashing.
+// readable errors instead of crashing, hanging or allocating what a corrupt
+// length field declares.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/serialize.h"
 #include "core/prediction_statistics.h"
@@ -13,10 +21,14 @@
 #include "core/performance_validator.h"
 #include "datasets/tabular.h"
 #include "errors/missing_values.h"
+#include "linalg/matrix_io.h"
 #include "ml/black_box.h"
+#include "ml/decision_tree.h"
+#include "ml/feed_forward_network.h"
 #include "ml/gradient_boosted_trees.h"
 #include "ml/random_forest.h"
 #include "ml/sgd_logistic_regression.h"
+#include "stats/quantile_sketch.h"
 
 namespace bbv {
 namespace {
@@ -82,6 +94,77 @@ TEST(BinaryArchiveTest, ImplausibleVectorLengthRejected) {
   writer.WriteUint64(uint64_t{1} << 60);  // bogus length prefix
   common::BinaryReader reader(buffer);
   EXPECT_FALSE(reader.ReadDoubleVector().ok());
+}
+
+// A length prefix inside the plausibility limit is still untrusted: 2^32 - 1
+// declared elements (32 GiB of doubles) with three present must fail at the
+// end of the stream without allocating the declared size first.
+TEST(BinaryArchiveTest, DeclaredLengthBeyondStreamFailsBeforeAllocating) {
+  const uint64_t declared = std::numeric_limits<uint32_t>::max();
+  {
+    std::stringstream buffer;
+    common::BinaryWriter writer(buffer);
+    writer.WriteUint64(declared);
+    for (const double value : {1.0, 2.0, 3.0}) writer.WriteDouble(value);
+    common::BinaryReader reader(buffer);
+    EXPECT_EQ(reader.ReadDoubleVector().status().code(),
+              common::StatusCode::kIoError);
+  }
+  {
+    std::stringstream buffer;
+    common::BinaryWriter writer(buffer);
+    writer.WriteUint64(declared);
+    for (const int32_t value : {1, 2, 3}) writer.WriteInt32(value);
+    common::BinaryReader reader(buffer);
+    EXPECT_EQ(reader.ReadInt32Vector().status().code(),
+              common::StatusCode::kIoError);
+  }
+  {
+    std::stringstream buffer;
+    common::BinaryWriter writer(buffer);
+    writer.WriteUint64(declared);
+    buffer << "abc";
+    common::BinaryReader reader(buffer);
+    EXPECT_EQ(reader.ReadString().status().code(),
+              common::StatusCode::kIoError);
+  }
+}
+
+// A shape whose rows * cols wraps around to the payload size (2^63 + 3 rows
+// of 2 columns over 6 values) is corrupt.
+TEST(BinaryArchiveTest, MatrixShapeThatWrapsAroundIsRejected) {
+  std::stringstream buffer;
+  common::BinaryWriter writer(buffer);
+  writer.WriteUint64((uint64_t{1} << 63) + 3);
+  writer.WriteUint64(2);
+  writer.WriteDoubleVector({1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
+  common::BinaryReader reader(buffer);
+  EXPECT_EQ(linalg::ReadMatrix(reader).status().code(),
+            common::StatusCode::kInvalidArgument);
+}
+
+// Payloads larger than one read chunk come back whole, in order.
+TEST(BinaryArchiveTest, MultiChunkPayloadsRoundTrip) {
+  std::vector<double> doubles(300'001);
+  std::vector<int32_t> ints(600'001);
+  std::string text(3'000'001, ' ');
+  for (size_t i = 0; i < doubles.size(); ++i) {
+    doubles[i] = static_cast<double>(i) * 0.5;
+  }
+  for (size_t i = 0; i < ints.size(); ++i) ints[i] = static_cast<int32_t>(i);
+  for (size_t i = 0; i < text.size(); ++i) {
+    text[i] = static_cast<char>('a' + i % 26);
+  }
+  std::stringstream buffer;
+  common::BinaryWriter writer(buffer);
+  writer.WriteDoubleVector(doubles);
+  writer.WriteInt32Vector(ints);
+  writer.WriteString(text);
+  ASSERT_TRUE(writer.status().ok());
+  common::BinaryReader reader(buffer);
+  EXPECT_EQ(reader.ReadDoubleVector().ValueOrDie(), doubles);
+  EXPECT_EQ(reader.ReadInt32Vector().ValueOrDie(), ints);
+  EXPECT_EQ(reader.ReadString().ValueOrDie(), text);
 }
 
 // ---------------------------------------------------------------------------
@@ -429,6 +512,299 @@ TEST(ValidatorSerializationTest, LoadRejectsDecisionFeatureBeyondWidth) {
   ASSERT_TRUE(validator.ok()) << validator.status().ToString();
   const linalg::Matrix batch(3, 2, {0.8, 0.2, 0.4, 0.6, 0.7, 0.3});
   EXPECT_TRUE(validator->ValidateFromProba(batch).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Quantile sketch bank
+// ---------------------------------------------------------------------------
+
+/// Peak resident set of this process in KiB (a high-water mark).
+long PeakRssKib() {
+  rusage usage{};
+  EXPECT_EQ(getrusage(RUSAGE_SELF, &usage), 0);
+  return usage.ru_maxrss;
+}
+
+// A declared column count must not allocate a 4097-cell grid per column
+// (136 MiB here) before the sketches arrive.
+TEST(SketchBankSerializationTest, DeclaredColumnsBeyondStreamFailFast) {
+  std::ostringstream out;
+  common::BinaryWriter writer(out);
+  writer.WriteMagic("BBVQB", 1);
+  writer.WriteInt32(12);
+  writer.WriteDouble(0.0);
+  writer.WriteDouble(1.0);
+  writer.WriteUint64(0);     // rows
+  writer.WriteUint64(4096);  // columns, none of which follow
+  const long before = PeakRssKib();
+  std::istringstream in(out.str());
+  EXPECT_FALSE(stats::QuantileSketchBank::Load(in).ok());
+  EXPECT_LT(PeakRssKib() - before, 64 * 1024);
+}
+
+// ---------------------------------------------------------------------------
+// Decision-tree classifier
+// ---------------------------------------------------------------------------
+
+/// CART bytes in DecisionTreeClassifier::Save's layout, declaring `count`
+/// nodes: a two-class root split on `feature` at `threshold` with children
+/// `left` and `right`, then two leaves.
+std::string CartBytes(int32_t feature, double threshold, int32_t left,
+                      int32_t right, uint64_t count = 3) {
+  std::ostringstream out;
+  common::BinaryWriter writer(out);
+  writer.WriteMagic("BBVCT", 1);
+  writer.WriteInt32(2);
+  writer.WriteUint64(count);
+  writer.WriteInt32(feature);
+  writer.WriteDouble(threshold);
+  writer.WriteInt32(left);
+  writer.WriteInt32(right);
+  writer.WriteDoubleVector({0.5, 0.5});
+  for (const double first : {1.0, 0.0}) {
+    writer.WriteInt32(-1);
+    writer.WriteDouble(0.0);
+    writer.WriteInt32(-1);
+    writer.WriteInt32(-1);
+    writer.WriteDoubleVector({first, 1.0 - first});
+  }
+  return out.str();
+}
+
+common::Result<ml::DecisionTreeClassifier> LoadCart(const std::string& bytes) {
+  std::istringstream in(bytes);
+  return ml::DecisionTreeClassifier::Load(in);
+}
+
+TEST(CartSerializationTest, CraftedStumpLoadsAndPredicts) {
+  const auto tree = LoadCart(CartBytes(1, 0.5, 1, 2));
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  const linalg::Matrix rows(2, 2, {9.0, 0.25, 9.0, 0.75});
+  EXPECT_EQ(tree->PredictProba(rows).data(),
+            (std::vector<double>{1.0, 0.0, 0.0, 1.0}));
+}
+
+// A child must come after its parent: one pointing back at (or before) it
+// would make PredictProba walk a cycle forever.
+TEST(CartSerializationTest, LoadRejectsCycles) {
+  for (const auto& [left, right] :
+       {std::pair{0, 2}, std::pair{1, 0}, std::pair{-1, 2}, std::pair{1, 3}}) {
+    EXPECT_EQ(LoadCart(CartBytes(0, 0.5, left, right)).status().code(),
+              common::StatusCode::kInvalidArgument)
+        << "children " << left << ", " << right;
+  }
+}
+
+TEST(CartSerializationTest, LoadRejectsNonFiniteThreshold) {
+  for (const double threshold : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(LoadCart(CartBytes(0, threshold, 1, 2)).status().code(),
+              common::StatusCode::kInvalidArgument);
+  }
+}
+
+// A declared node count (up to 1e8) must not be allocated before the nodes
+// arrive.
+TEST(CartSerializationTest, DeclaredNodeCountBeyondStreamFails) {
+  EXPECT_EQ(LoadCart(CartBytes(0, 0.5, 1, 2, 99'999'999)).status().code(),
+            common::StatusCode::kIoError);
+}
+
+// A split on a feature the batch does not have fails the width check
+// instead of reading past the row.
+TEST(CartSerializationTest, PredictProbaChecksSplitFeatureAgainstWidth) {
+  const auto tree = LoadCart(CartBytes(1, 0.5, 1, 2));
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  const linalg::Matrix narrow(1, 1, {0.25});
+  EXPECT_DEATH(tree->PredictProba(narrow), "reads feature 1");
+}
+
+// ---------------------------------------------------------------------------
+// Mutation sweep: every small artifact format, every single-byte corruption
+// ---------------------------------------------------------------------------
+
+/// Probe batch the sweep runs loaded models on: 3 feature columns, the
+/// width every swept model was trained on.
+linalg::Matrix ProbeFeatures() {
+  linalg::Matrix probe(4, 3);
+  for (size_t i = 0; i < probe.rows(); ++i) {
+    for (size_t j = 0; j < probe.cols(); ++j) {
+      probe.At(i, j) =
+          0.3 * static_cast<double>(i) - 0.2 * static_cast<double>(j);
+    }
+  }
+  return probe;
+}
+
+/// 60 rows over 3 features with a two-class label and a real target.
+void SweepTrainingData(linalg::Matrix& features, std::vector<int>& labels,
+                       std::vector<double>& targets) {
+  common::Rng rng(21);
+  features = linalg::Matrix(60, 3);
+  labels.resize(60);
+  targets.resize(60);
+  for (size_t i = 0; i < 60; ++i) {
+    for (size_t j = 0; j < 3; ++j) features.At(i, j) = rng.Uniform();
+    labels[i] = features.At(i, 0) + features.At(i, 1) > 1.0 ? 1 : 0;
+    targets[i] = features.At(i, 0) - 0.5 * features.At(i, 2);
+  }
+}
+
+/// Loads every single-byte corruption of `bytes` through `load`, which
+/// returns whether the artifact loaded (and exercises a loaded model):
+/// truncation at every offset, then per byte XOR 0x01 and 0x80 and
+/// overwrites with 0xFF, 0x7F and 0x40. Each must come back as a model or a
+/// Status, never a crash, hang or declared-size allocation (run under the
+/// sanitizers and the ctest timeout); no truncation may load.
+template <typename Load>
+void SweepMutations(const std::string& bytes, const Load& load) {
+  ASSERT_TRUE(load(bytes)) << "the unmutated artifact must load";
+  for (size_t size = 0; size < bytes.size(); ++size) {
+    EXPECT_FALSE(load(bytes.substr(0, size))) << "truncated to " << size;
+  }
+  std::string mutated = bytes;
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    const auto original = static_cast<unsigned char>(bytes[i]);
+    for (const unsigned value :
+         {original ^ 0x01u, original ^ 0x80u, 0xFFu, 0x7Fu, 0x40u}) {
+      mutated[i] = static_cast<char>(value);
+      load(mutated);
+    }
+    mutated[i] = bytes[i];
+  }
+}
+
+TEST(MutationSweepTest, RandomForest) {
+  linalg::Matrix features;
+  std::vector<int> labels;
+  std::vector<double> targets;
+  SweepTrainingData(features, labels, targets);
+  ml::RandomForestRegressor::Options options;
+  options.num_trees = 3;
+  options.tree.max_depth = 2;
+  ml::RandomForestRegressor forest(options);
+  common::Rng rng(1);
+  ASSERT_TRUE(forest.Fit(features, targets, rng).ok());
+  std::ostringstream out;
+  ASSERT_TRUE(forest.Save(out).ok());
+  const linalg::Matrix probe = ProbeFeatures();
+  SweepMutations(out.str(), [&](const std::string& bytes) {
+    std::istringstream in(bytes);
+    const auto loaded = ml::RandomForestRegressor::Load(in);
+    if (!loaded.ok()) return false;
+    if (loaded->kernel().max_feature() < static_cast<int32_t>(probe.cols())) {
+      std::vector<double> predictions(probe.rows());
+      loaded->PredictInto(probe, predictions);
+    }
+    return true;
+  });
+}
+
+TEST(MutationSweepTest, GradientBoostedTrees) {
+  linalg::Matrix features;
+  std::vector<int> labels;
+  std::vector<double> targets;
+  SweepTrainingData(features, labels, targets);
+  ml::GradientBoostedTrees::Options options;
+  options.num_rounds = 2;
+  options.tree.max_depth = 2;
+  ml::GradientBoostedTrees model(options);
+  common::Rng rng(2);
+  ASSERT_TRUE(model.Fit(features, labels, 2, rng).ok());
+  std::ostringstream out;
+  ASSERT_TRUE(model.Save(out).ok());
+  const linalg::Matrix probe = ProbeFeatures();
+  SweepMutations(out.str(), [&](const std::string& bytes) {
+    std::istringstream in(bytes);
+    const auto loaded = ml::GradientBoostedTrees::Load(in);
+    if (!loaded.ok()) return false;
+    if (loaded->kernel().max_feature() < static_cast<int32_t>(probe.cols())) {
+      EXPECT_EQ(loaded->PredictProba(probe).rows(), probe.rows());
+    }
+    return true;
+  });
+}
+
+TEST(MutationSweepTest, DecisionTreeClassifier) {
+  linalg::Matrix features;
+  std::vector<int> labels;
+  std::vector<double> targets;
+  SweepTrainingData(features, labels, targets);
+  ml::TreeOptions options;
+  options.max_depth = 2;
+  ml::DecisionTreeClassifier tree(options);
+  common::Rng rng(3);
+  ASSERT_TRUE(tree.Fit(features, labels, 2, rng).ok());
+  std::ostringstream out;
+  ASSERT_TRUE(tree.Save(out).ok());
+  // Load only: a loaded tree splitting past the probe's width fails the
+  // PredictProba width check by contract (see the test above).
+  SweepMutations(out.str(),
+                 [](const std::string& bytes) { return LoadCart(bytes).ok(); });
+}
+
+TEST(MutationSweepTest, LogisticRegression) {
+  linalg::Matrix features;
+  std::vector<int> labels;
+  std::vector<double> targets;
+  SweepTrainingData(features, labels, targets);
+  ml::SgdLogisticRegression::Options options;
+  options.epochs = 2;
+  ml::SgdLogisticRegression model(options);
+  common::Rng rng(4);
+  ASSERT_TRUE(model.Fit(features, labels, 2, rng).ok());
+  std::ostringstream out;
+  ASSERT_TRUE(model.Save(out).ok());
+  const linalg::Matrix probe = ProbeFeatures();
+  SweepMutations(out.str(), [&](const std::string& bytes) {
+    std::istringstream in(bytes);
+    const auto loaded = ml::SgdLogisticRegression::Load(in);
+    if (!loaded.ok()) return false;
+    if (loaded->weights().rows() == probe.cols()) {
+      EXPECT_EQ(loaded->PredictProba(probe).rows(), probe.rows());
+    }
+    return true;
+  });
+}
+
+TEST(MutationSweepTest, FeedForwardNetwork) {
+  linalg::Matrix features;
+  std::vector<int> labels;
+  std::vector<double> targets;
+  SweepTrainingData(features, labels, targets);
+  ml::FeedForwardNetwork::Options options;
+  options.hidden_sizes = {3};
+  options.epochs = 1;
+  ml::FeedForwardNetwork model(options);
+  common::Rng rng(5);
+  ASSERT_TRUE(model.Fit(features, labels, 2, rng).ok());
+  std::ostringstream out;
+  ASSERT_TRUE(model.Save(out).ok());
+  SweepMutations(out.str(), [](const std::string& bytes) {
+    std::istringstream in(bytes);
+    return ml::FeedForwardNetwork::Load(in).ok();
+  });
+}
+
+TEST(MutationSweepTest, QuantileSketchBank) {
+  stats::QuantileSketch::Options options;
+  options.resolution_bits = 6;
+  stats::QuantileSketchBank bank(2, options);
+  const linalg::Matrix batch(4, 2, {0.1, 0.9, 0.3, 0.7, 0.6, 0.4, 0.8, 0.2});
+  ASSERT_TRUE(bank.Observe(batch).ok());
+  std::ostringstream out;
+  ASSERT_TRUE(bank.Save(out).ok());
+  const std::vector<double> points = core::DefaultPercentilePoints();
+  SweepMutations(out.str(), [&](const std::string& bytes) {
+    std::istringstream in(bytes);
+    const auto loaded = stats::QuantileSketchBank::Load(in);
+    if (!loaded.ok()) return false;
+    if (loaded->rows_observed() > 0) {
+      EXPECT_EQ(loaded->PercentileFeatures(points).size(),
+                loaded->num_columns() * points.size());
+    }
+    return true;
+  });
 }
 
 }  // namespace
