@@ -14,6 +14,8 @@
 
 #include "bench/bench_util.h"
 #include "common/telemetry.h"
+#include "core/monitor.h"
+#include "core/performance_predictor.h"
 #include "core/prediction_statistics.h"
 #include "datasets/tabular.h"
 #include "errors/missing_values.h"
@@ -77,6 +79,42 @@ void BM_SketchBankObserve(benchmark::State& state) {
                           static_cast<int64_t>(probabilities.rows()));
 }
 BENCHMARK(BM_SketchBankObserve);
+
+void BM_MonitorObserveWindowed(benchmark::State& state) {
+  // One monitored request: a 100-row, 2-class batch through a windowed
+  // ModelMonitor::Observe at sketch resolution 12, over a window of
+  // state.range(0) batches, against a 100-tree meta-forest. The window
+  // adds each batch to a running sketch sum and retracts the one that
+  // leaves, so the cost should not grow with the window.
+  common::Rng rng(9);
+  core::PerformancePredictor::Options options;
+  options.tree_count_grid = {100};
+  core::PerformancePredictor predictor(options);
+  const size_t width = 2 * core::DefaultPercentilePoints().size();
+  std::vector<std::vector<double>> statistics(200, std::vector<double>(width));
+  std::vector<double> scores(statistics.size());
+  for (size_t i = 0; i < statistics.size(); ++i) {
+    for (double& value : statistics[i]) value = rng.Uniform();
+    scores[i] = statistics[i][width / 2];
+  }
+  BBV_CHECK(predictor.TrainFromStatistics(statistics, scores, 0.9, rng).ok());
+  core::ModelMonitor::Options monitor_options;
+  monitor_options.window_batches = static_cast<size_t>(state.range(0));
+  monitor_options.sketch_resolution_bits = 12;
+  auto monitor = core::ModelMonitor::CreateForProba(
+      "bench", std::make_shared<const core::PerformancePredictor>(predictor),
+      monitor_options);
+  BBV_CHECK(monitor.ok());
+  std::vector<linalg::Matrix> batches;
+  for (int b = 0; b < 64; ++b) batches.push_back(MakeProbabilities(100, rng));
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(monitor->Observe(batches[next]));
+    next = (next + 1) % batches.size();
+  }
+  state.SetItemsProcessed(state.iterations() * 100);
+}
+BENCHMARK(BM_MonitorObserveWindowed)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_TwoSampleKsTest(benchmark::State& state) {
   common::Rng rng(2);

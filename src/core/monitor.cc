@@ -97,6 +97,9 @@ ModelMonitor::ModelMonitor(
       name_(std::move(name)),
       predictor_(std::move(predictor)),
       options_(options) {
+  stats::QuantileSketch::Options sketch_options;
+  sketch_options.resolution_bits = options_.sketch_resolution_bits;
+  window_sum_ = stats::QuantileSketchBank(0, sketch_options);
   const common::Status valid =
       ValidateMonitorArguments(*predictor_, options_);
   BBV_CHECK(valid.ok()) << valid.ToString();
@@ -128,106 +131,159 @@ common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
   if (probabilities.rows() == 0) {
     return common::Status::InvalidArgument("empty serving batch");
   }
-  stats::QuantileSketch::Options sketch_options;
-  sketch_options.resolution_bits = options_.sketch_resolution_bits;
-  stats::QuantileSketchBank batch_bank(0, sketch_options);
-  if (windowed()) {
-    // A serving stream must degrade recoverably, so sketch the batch up
-    // front: Observe scans it once and rejects NaN/Inf (its only failure on
-    // a non-empty batch into a fresh bank) before any other work.
-    const common::Status observed = batch_bank.Observe(probabilities);
-    if (!observed.ok()) {
-      common::telemetry::IncrementCounter("monitor.nonfinite_inputs");
-      std::string message = "serving batch contains a ";
-      message += observed.message();
-      return common::Status::InvalidArgument(std::move(message));
-    }
-  }
-  BBV_ASSIGN_OR_RETURN(ScoreEstimate estimate,
-                       predictor_->EstimateScoreFromProba(probabilities));
-  if (!std::isfinite(estimate.point)) {
+  // A serving stream must degrade recoverably, so the window sum scans the
+  // batch for NaN/Inf before the exact estimate sorts it.
+  if (windowed()) BBV_RETURN_NOT_OK(AddToWindow(probabilities));
+  common::Result<ScoreEstimate> estimate =
+      predictor_->EstimateScoreFromProba(probabilities);
+  if (estimate.ok() && !std::isfinite(estimate->point)) {
     // Never let NaN/Inf flow into reports, history or alarm decisions.
     common::telemetry::IncrementCounter("monitor.nonfinite_estimates");
-    return common::Status::Internal(
+    estimate = common::Status::Internal(
         "performance predictor produced a non-finite estimate");
   }
-  BatchReport report;
-  report.rows = probabilities.rows();
-  report.estimate = estimate;
-  report.reference_score = predictor_->test_score();
-  // The constructor guarantees a finite, strictly positive reference.
-  report.relative_drop =
-      (report.reference_score - estimate.point) / report.reference_score;
-  report.certified_drop =
-      (report.reference_score - estimate.hi) / report.reference_score;
-  if (windowed()) {
-    // Merge this batch's sketch with the most recent window_batches - 1
-    // retained banks, and alarm on the estimate over that merged summary —
-    // recent traffic, not all-time aggregates. The ring is only committed
-    // once the windowed estimate is known to be sound, so a failed batch
-    // never pollutes the window.
-    stats::QuantileSketchBank merged = batch_bank;
-    const size_t prior =
-        std::min(window_.size(), options_.window_batches - 1);
-    for (size_t i = window_.size() - prior; i < window_.size(); ++i) {
-      BBV_RETURN_NOT_OK(merged.Merge(window_[i]));
-    }
-    const std::vector<double> window_features =
-        merged.PercentileFeatures(predictor_->percentile_points());
-    BBV_ASSIGN_OR_RETURN(
-        ScoreEstimate windowed_estimate,
-        predictor_->EstimateScoreFromStatistics(window_features));
-    if (!std::isfinite(windowed_estimate.point)) {
-      common::telemetry::IncrementCounter("monitor.nonfinite_estimates");
-      return common::Status::Internal(
-          "performance predictor produced a non-finite windowed estimate");
-    }
-    report.windowed_estimate = windowed_estimate;
-    report.windowed_relative_drop =
-        (report.reference_score - windowed_estimate.point) /
-        report.reference_score;
-    report.windowed_certified_drop =
-        (report.reference_score - windowed_estimate.hi) /
-        report.reference_score;
-    report.window_batches_used = prior + 1;
-    report.window_rows = merged.rows_observed();
-    const double windowed_alarm_drop =
-        options_.alarm_policy == AlarmPolicy::kCertifiedDrop
-            ? report.windowed_certified_drop
-            : report.windowed_relative_drop;
-    report.alarm = windowed_alarm_drop >= options_.alarm_threshold;
-    window_.push_back(std::move(batch_bank));
-    while (window_.size() > options_.window_batches) {
-      window_.pop_front();
-      common::telemetry::IncrementCounter("monitor.window_evictions");
-    }
-  } else {
-    const double alarm_drop =
-        options_.alarm_policy == AlarmPolicy::kCertifiedDrop
-            ? report.certified_drop
-            : report.relative_drop;
-    report.alarm = alarm_drop >= options_.alarm_threshold;
+  if (!estimate.ok()) {
+    if (windowed()) BBV_CHECK(window_sum_.Retract(probabilities).ok());
+    return estimate.status();
   }
+  BatchReport report;
+  report.estimate = *estimate;
+  report.relative_drop = Drop(estimate->point);
+  report.certified_drop = Drop(estimate->hi);
+  if (windowed()) {
+    BBV_RETURN_NOT_OK(StepWindow(probabilities, report));
+  } else {
+    report.alarm = (options_.alarm_policy == AlarmPolicy::kCertifiedDrop
+                        ? report.certified_drop
+                        : report.relative_drop) >= options_.alarm_threshold;
+    CountBatch(probabilities.rows(), report);
+  }
+  report.latency_seconds = span.ElapsedSeconds();
+  history_.push_back(report);
+  if (history_.size() > options_.history_limit) history_.pop_front();
+  return report;
+}
+
+common::Result<ModelMonitor::BatchReport> ModelMonitor::ObserveWindow(
+    const linalg::Matrix& probabilities) {
+  const common::telemetry::TraceSpan span("monitor.observe_window");
+  if (!windowed()) {
+    return common::Status::FailedPrecondition(
+        "ObserveWindow on a monitor without a window");
+  }
+  if (probabilities.rows() == 0) {
+    return common::Status::InvalidArgument("empty serving batch");
+  }
+  BBV_RETURN_NOT_OK(AddToWindow(probabilities));
+  BatchReport report;
+  BBV_RETURN_NOT_OK(StepWindow(probabilities, report));
+  report.latency_seconds = span.ElapsedSeconds();
+  return report;
+}
+
+common::Status ModelMonitor::AddToWindow(const linalg::Matrix& probabilities) {
+  const size_t classes = predictor_->feature_dimension() /
+                         predictor_->percentile_points().size();
+  common::Status added = common::Status::OK();
+  if (probabilities.cols() == classes) {
+    added = window_sum_.Observe(probabilities);
+  } else {
+    // NaN/Inf is reported before the class count, whatever the width.
+    const std::vector<double>& entries = probabilities.data();
+    const auto bad =
+        std::find_if(entries.begin(), entries.end(),
+                     [](double value) { return !std::isfinite(value); });
+    if (bad == entries.end()) {
+      return common::Status::InvalidArgument(
+          "serving batch has " + std::to_string(probabilities.cols()) +
+          " classes but the predictor was trained on " +
+          std::to_string(classes));
+    }
+    const auto row = static_cast<size_t>(bad - entries.begin()) /
+                     probabilities.cols();
+    added = common::Status::InvalidArgument(
+        "non-finite probability at row " + std::to_string(row));
+  }
+  if (!added.ok()) {
+    common::telemetry::IncrementCounter("monitor.nonfinite_inputs");
+    std::string message = "serving batch contains a ";
+    message += added.message();
+    return common::Status::InvalidArgument(std::move(message));
+  }
+  return common::Status::OK();
+}
+
+common::Status ModelMonitor::StepWindow(const linalg::Matrix& probabilities,
+                                        BatchReport& report) {
+  // The sum holds this batch plus the most recent window_batches - 1
+  // retained ones: alarm on recent traffic, not all-time aggregates.
+  common::Result<ScoreEstimate> windowed_estimate =
+      predictor_->EstimateScoreFromStatistics(
+          window_sum_.PercentileFeatures(predictor_->percentile_points()));
+  if (windowed_estimate.ok() && !std::isfinite(windowed_estimate->point)) {
+    common::telemetry::IncrementCounter("monitor.nonfinite_estimates");
+    windowed_estimate = common::Status::Internal(
+        "performance predictor produced a non-finite windowed estimate");
+  }
+  if (!windowed_estimate.ok()) {
+    // A failed batch never joins the window.
+    BBV_CHECK(window_sum_.Retract(probabilities).ok());
+    return windowed_estimate.status();
+  }
+  report.windowed_estimate = *windowed_estimate;
+  report.windowed_relative_drop = Drop(windowed_estimate->point);
+  report.windowed_certified_drop = Drop(windowed_estimate->hi);
+  report.window_batches_used =
+      std::min(window_.size(), options_.window_batches - 1) + 1;
+  report.window_rows = window_sum_.rows_observed();
+  report.alarm = (options_.alarm_policy == AlarmPolicy::kCertifiedDrop
+                      ? report.windowed_certified_drop
+                      : report.windowed_relative_drop) >=
+                 options_.alarm_threshold;
+  // Slide the window. The next batch shares only the newest
+  // window_batches - 1 batches, so the oldest batch of this report's window
+  // leaves the sum now; the ring keeps it until the next batch commits and
+  // evicts it.
+  window_.push_back(probabilities);
+  if (window_.size() >= options_.window_batches) {
+    BBV_CHECK(
+        window_sum_.Retract(window_[window_.size() - options_.window_batches])
+            .ok());
+  }
+  if (window_.size() > options_.window_batches) {
+    window_.pop_front();
+    common::telemetry::IncrementCounter("monitor.window_evictions");
+  }
+  CountBatch(probabilities.rows(), report);
+  return common::Status::OK();
+}
+
+void ModelMonitor::CountBatch(size_t rows, BatchReport& report) {
+  report.rows = rows;
+  report.reference_score = predictor_->test_score();
   report.batch_id = batches_observed_++;
   if (report.alarm) {
     ++alarms_raised_;
     common::telemetry::IncrementCounter("monitor.alarms");
   }
   common::telemetry::IncrementCounter("monitor.batches");
-  common::telemetry::IncrementCounter("monitor.rows", probabilities.rows());
+  common::telemetry::IncrementCounter("monitor.rows", rows);
   report.alarms_total = alarms_raised_;
   report.epoch = epoch_;
   report.estimate_calls_total =
       common::telemetry::ReadCounter("predictor.estimate.calls");
-  report.latency_seconds = span.ElapsedSeconds();
-  history_.push_back(report);
-  if (history_.size() > options_.history_limit) {
-    history_.erase(history_.begin(),
-                   history_.begin() + static_cast<ptrdiff_t>(
-                                          history_.size() -
-                                          options_.history_limit));
-  }
-  return report;
+}
+
+double ModelMonitor::Drop(double score) const {
+  // The constructor and SwapPredictor guarantee a finite, strictly
+  // positive reference.
+  const double reference = predictor_->test_score();
+  return (reference - score) / reference;
+}
+
+void ModelMonitor::ClearWindow() {
+  window_.clear();
+  window_sum_ = stats::QuantileSketchBank(0, window_sum_.options());
 }
 
 common::Status ModelMonitor::SwapPredictor(
@@ -237,11 +293,11 @@ common::Status ModelMonitor::SwapPredictor(
         "SwapPredictor needs a trained performance predictor");
   }
   BBV_RETURN_NOT_OK(ValidatePredictorReference(*predictor));
-  // Epoch boundary: the retained window sketches were served under the old
+  // Epoch boundary: the retained window batches were served under the old
   // predictor's reference score; scoring them with the new predictor would
   // alarm against a reference they never ran under. Drop them so the first
   // post-swap report windows over exactly the batches of the new epoch.
-  window_.clear();
+  ClearWindow();
   predictor_ = std::move(predictor);
   ++epoch_;
   common::telemetry::IncrementCounter("monitor.predictor_swaps");

@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "core/performance_predictor.h"
 #include "data/dataframe.h"
+#include "linalg/matrix.h"
 #include "ml/black_box.h"
 #include "stats/quantile_sketch.h"
 
@@ -50,16 +51,20 @@ class ModelMonitor {
     double alarm_threshold = 0.05;
     /// Which drop the alarm thresholds on (see AlarmPolicy).
     AlarmPolicy alarm_policy = AlarmPolicy::kCertifiedDrop;
-    /// Maximum batch reports retained (older entries are dropped).
+    /// Maximum batch reports retained (older entries are dropped). Observe
+    /// records one report per accepted batch; ObserveWindow records none.
     size_t history_limit = 1000;
-    /// Sliding-window mode: when positive, the monitor keeps a ring of the
-    /// last `window_batches` mini-batches as per-class quantile sketches,
-    /// merges them on demand, and alarms on the *windowed* estimate — so
-    /// alarms reflect recent traffic instead of all-time aggregates, in
-    /// O(window * num_classes * 2^sketch_resolution_bits) memory. 0 keeps
-    /// the classic per-batch behavior.
+    /// Sliding-window mode: when positive, the monitor alarms on the
+    /// *windowed* estimate over the last `window_batches` mini-batches, so
+    /// alarms reflect recent traffic instead of all-time aggregates. The
+    /// window is one running per-class sketch sum (num_classes *
+    /// 2^sketch_resolution_bits cells) plus the probability matrices of the
+    /// retained batches (window_batches * rows * num_classes doubles): each
+    /// batch is added to the sum and the batch leaving the window is
+    /// retracted from it, so a batch costs O(rows) whatever the window
+    /// length. 0 keeps the classic per-batch behavior.
     size_t window_batches = 0;
-    /// Sketch resolution for the window ring (see
+    /// Sketch resolution of the window sum (see
     /// stats::QuantileSketch::Options); only used when window_batches > 0.
     int sketch_resolution_bits = 12;
   };
@@ -91,20 +96,20 @@ class ModelMonitor {
     /// Alarms this monitor has raised up to and including this report.
     size_t alarms_total = 0;
     /// Sliding-window fields; meaningful only when Options::window_batches
-    /// is positive. The estimate over the merged sketches of the last
+    /// is positive. The estimate over the sketched rows of the last
     /// `window_batches_used` batches, and its drops — this is what drives
     /// the alarm in window mode.
     ScoreEstimate windowed_estimate;
     double windowed_relative_drop = 0.0;
     /// Certified drop of the windowed interval (see certified_drop).
     double windowed_certified_drop = 0.0;
-    /// Batches merged into the windowed estimate (<= window_batches).
+    /// Batches covered by the windowed estimate (<= window_batches).
     size_t window_batches_used = 0;
     /// Rows covered by the windowed estimate.
     uint64_t window_rows = 0;
     /// Predictor epoch this batch was scored under: 0 for the predictor the
     /// monitor was created with, incremented by every SwapPredictor. In
-    /// windowed mode a swap also clears the window ring, so all
+    /// windowed mode a swap also clears the window, so all
     /// window_batches_used batches of a report belong to the same epoch.
     uint64_t epoch = 0;
   };
@@ -139,19 +144,31 @@ class ModelMonitor {
   ModelMonitor(const ml::BlackBox* model, PerformancePredictor predictor,
                Options options);
 
-  /// The one observation surface: scores one serving batch and appends the
-  /// report to the history. The frame overload runs the attached black box
-  /// first (unavailable on proba-only monitors); the probability overload
-  /// takes precomputed model outputs. Both reject empty batches and
-  /// non-finite estimates (neither pollutes the history), and both return
+  /// Scores one serving batch — its exact estimate, then in windowed mode
+  /// the windowed step ObserveWindow runs — and appends the report to the
+  /// history. The frame overload runs the attached black box first
+  /// (unavailable on proba-only monitors); the probability overload takes
+  /// precomputed model outputs. Both reject empty batches and non-finite
+  /// estimates (neither pollutes the history or the window), and both return
   /// the report — callers must consume it (or at minimum its Status; the
   /// status-discard lint flags drops). The former ObserveFromProba name is
   /// folded into this overload set.
   common::Result<BatchReport> Observe(const data::DataFrame& serving);
   common::Result<BatchReport> Observe(const linalg::Matrix& probabilities);
 
+  /// The windowed step of Observe alone, for callers that score the batch
+  /// elsewhere (the multi-tenant service estimates from its own sketches):
+  /// adds the batch to the window, scores the window, decides the alarm
+  /// and counts the batch exactly as Observe does, but computes no exact
+  /// per-batch estimate and records no history. The report's windowed
+  /// fields, alarm, counters and the window state that follows are those
+  /// Observe gives on the same stream; `estimate` and its drops stay
+  /// default. Windowed monitors only (FailedPrecondition otherwise).
+  common::Result<BatchReport> ObserveWindow(
+      const linalg::Matrix& probabilities);
+
   /// Deploys a retrained predictor (tenant hot-swap). This is an *epoch
-  /// boundary*: the windowed ring is cleared, because its sketches were
+  /// boundary*: the window is cleared, because its batches were
   /// scored under the old predictor's reference — mixing them into a window
   /// estimated by the new predictor would alarm (or fail to alarm) against
   /// a reference the batches were never served under. The first report
@@ -165,7 +182,7 @@ class ModelMonitor {
   /// Epoch boundaries crossed so far (== accepted SwapPredictor calls).
   uint64_t epoch() const { return epoch_; }
 
-  const std::vector<BatchReport>& history() const { return history_; }
+  const std::deque<BatchReport>& history() const { return history_; }
   size_t batches_observed() const { return batches_observed_; }
   size_t alarms_raised() const { return alarms_raised_; }
   /// Fraction of observed batches that alarmed; 0 before any observation.
@@ -183,16 +200,31 @@ class ModelMonitor {
   /// True when the monitor alarms on windowed estimates.
   bool windowed() const { return options_.window_batches > 0; }
 
-  /// Drops the windowed ring without observing anything — the same epoch
-  /// boundary SwapPredictor enforces, for callers that invalidate the
-  /// window by other means (e.g. the tenant registry evicting a cold
-  /// tenant and rehydrating it later). No-op in classic mode.
-  void ClearWindow() { window_.clear(); }
+  /// Drops the window — retained batches and the sketch sum, releasing
+  /// their memory — without observing anything: the same epoch boundary
+  /// SwapPredictor enforces, for callers that invalidate the window by
+  /// other means (e.g. the tenant registry evicting a cold tenant and
+  /// rehydrating it later). No-op in classic mode.
+  void ClearWindow();
 
  private:
   ModelMonitor(const ml::BlackBox* model, std::string name,
                std::shared_ptr<const PerformancePredictor> predictor,
                Options options);
+
+  /// Adds a non-empty batch to window_sum_: the batch's one finiteness
+  /// scan. Rejects NaN/Inf, then a class count the predictor was not
+  /// trained on; a rejected batch changes nothing.
+  common::Status AddToWindow(const linalg::Matrix& probabilities);
+  /// The windowed step after AddToWindow: scores the window, sets the
+  /// windowed fields and the alarm, slides the window and counts the batch.
+  /// On a non-finite windowed estimate it retracts the batch and fails.
+  common::Status StepWindow(const linalg::Matrix& probabilities,
+                            BatchReport& report);
+  /// Per-batch bookkeeping shared by both modes once the alarm is decided.
+  void CountBatch(size_t rows, BatchReport& report);
+  /// (reference - score) / reference.
+  double Drop(double score) const;
 
   const ml::BlackBox* model_;
   /// Label for Summary()/ExportJson(): the model's name, or the caller-
@@ -200,10 +232,15 @@ class ModelMonitor {
   std::string name_;
   std::shared_ptr<const PerformancePredictor> predictor_;
   Options options_;
-  std::vector<BatchReport> history_;
-  /// Ring of per-batch sketch banks, newest at the back; bounded by
-  /// options_.window_batches. Empty in classic mode.
-  std::deque<stats::QuantileSketchBank> window_;
+  std::deque<BatchReport> history_;
+  /// The batches of the latest windowed report, newest at the back; at
+  /// most options_.window_batches. Empty in classic mode.
+  std::deque<linalg::Matrix> window_;
+  /// Running cell-count sum over the newest window_batches - 1 entries of
+  /// window_ — the part of the window the next batch shares. Adding a
+  /// batch and retracting the one that leaves is exact (integer counts),
+  /// so it equals the merge of those batches' sketches bit for bit.
+  stats::QuantileSketchBank window_sum_;
   size_t batches_observed_ = 0;
   size_t alarms_raised_ = 0;
   uint64_t epoch_ = 0;

@@ -565,6 +565,10 @@ common::Result<RegressionTree> RegressionTree::Load(
     if (!std::isfinite(node.threshold)) {
       return common::Status::InvalidArgument("non-finite tree threshold");
     }
+    // A non-finite value would be served as a NaN/Inf prediction.
+    if (!std::isfinite(node.value)) {
+      return common::Status::InvalidArgument("non-finite tree value");
+    }
   }
   return tree;
 }

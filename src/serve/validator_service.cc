@@ -181,8 +181,10 @@ void ValidatorService::ProcessTenantOps(
     run_features.push_back(*features);
     if (tenant.monitor.has_value()) {
       response.monitored = true;
+      // The request's own estimate comes from the scorer's sketches above;
+      // the monitor only runs its windowed step.
       const common::Result<core::ModelMonitor::BatchReport> report =
-          tenant.monitor->Observe(op.probabilities);
+          tenant.monitor->ObserveWindow(op.probabilities);
       if (report.ok()) {
         response.alarm = report->alarm;
         response.windowed_estimate = report->windowed_estimate;

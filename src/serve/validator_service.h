@@ -81,9 +81,12 @@ class ValidatorService {
     /// the drop or just the point estimate (see core::AlarmPolicy).
     core::ModelMonitor::AlarmPolicy alarm_policy =
         core::ModelMonitor::AlarmPolicy::kCertifiedDrop;
-    /// Sketch resolution of the monitor's window ring.
+    /// Sketch resolution of the monitor's window sum.
     int monitor_resolution_bits = 12;
-    /// Batch reports the monitor retains.
+    /// The monitor's ModelMonitor::Options::history_limit: CreateTenant
+    /// rejects 0, and nothing else reads it — the service feeds its monitor
+    /// through ModelMonitor::ObserveWindow, which records no batch reports,
+    /// so a tenant retains no history for this to bound.
     size_t history_limit = 1000;
   };
 

@@ -74,6 +74,15 @@ void QuantileSketch::AddUnchecked(double value, uint64_t weight) {
   count_ += weight;
 }
 
+bool QuantileSketch::RemoveUnchecked(double value) {
+  const size_t cell = CellIndex(value);
+  if (counts_[cell] == 0) return false;
+  --counts_[cell];
+  --counts_[num_cells_ + cell / kBlockCells];
+  --count_;
+  return true;
+}
+
 common::Status QuantileSketch::Merge(const QuantileSketch& other) {
   if (!GridsMatch(options_, other.options_)) {
     return common::Status::InvalidArgument(
@@ -321,6 +330,43 @@ common::Status QuantileSketchBank::Observe(const linalg::Matrix& values) {
   }
   rows_observed_ += values.rows();
   common::telemetry::IncrementCounter("sketch_bank.rows", values.rows());
+  return common::Status::OK();
+}
+
+common::Status QuantileSketchBank::Retract(const linalg::Matrix& values) {
+  if (values.rows() == 0) {
+    return common::Status::InvalidArgument(
+        "QuantileSketchBank::Retract on an empty batch");
+  }
+  if (values.cols() != sketches_.size()) {
+    return common::Status::InvalidArgument(
+        "retracted batch has " + std::to_string(values.cols()) +
+        " columns but the bank tracks " + std::to_string(sketches_.size()));
+  }
+  if (values.rows() > rows_observed_) {
+    return common::Status::InvalidArgument(
+        "retracted batch has more rows than the bank observed");
+  }
+  // One row-major pass that checks as it removes; on the first entry that
+  // cannot be removed, put back every entry removed before it.
+  const size_t cols = values.cols();
+  for (size_t i = 0; i < values.rows(); ++i) {
+    const double* row = values.RowData(i);
+    for (size_t k = 0; k < cols; ++k) {
+      if (std::isfinite(row[k]) && sketches_[k].RemoveUnchecked(row[k])) {
+        continue;
+      }
+      const std::vector<double>& entries = values.data();
+      for (size_t e = 0; e < i * cols + k; ++e) {
+        sketches_[e % cols].AddUnchecked(entries[e], 1);
+      }
+      return common::Status::InvalidArgument(
+          std::isfinite(row[k])
+              ? "retracted batch was never observed by this bank"
+              : "non-finite value in a retracted batch");
+    }
+  }
+  rows_observed_ -= values.rows();
   return common::Status::OK();
 }
 

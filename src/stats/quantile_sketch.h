@@ -132,6 +132,10 @@ class QuantileSketch {
   /// Add without the finiteness check, for callers that have already
   /// scanned their input (QuantileSketchBank::Observe).
   void AddUnchecked(double value, uint64_t weight);
+  /// Exact inverse of AddUnchecked(value, 1) for a finite value: decrements
+  /// its cell, the cell's block sum and count(). Returns false, changing
+  /// nothing, when the cell is empty.
+  bool RemoveUnchecked(double value);
   /// Grid index of the nearest grid point for a clamped value.
   size_t CellIndex(double value) const;
   /// Value of grid point `index`.
@@ -180,6 +184,16 @@ class QuantileSketchBank {
   /// default-constructed bank) and any NaN/Inf entry; a rejected batch
   /// changes nothing.
   common::Status Observe(const linalg::Matrix& values);
+
+  /// Exact inverse of Observe: removes every entry of a batch this bank
+  /// observed. Cells are integer counts, so Observe(A), Observe(B),
+  /// Retract(A) leaves the very state Observe(B) alone builds — a running
+  /// sum over a sliding window of batches equals the merge of the batches
+  /// still in it, bit for bit. Rejects an empty batch, a column-count
+  /// mismatch, NaN/Inf and any entry whose cell is already empty (a batch
+  /// that was never observed); a rejected batch changes nothing. Retracting
+  /// every observed row leaves the columns with empty sketches.
+  common::Status Retract(const linalg::Matrix& values);
 
   /// Merges another bank of the same shape and grid into this one.
   common::Status Merge(const QuantileSketchBank& other);

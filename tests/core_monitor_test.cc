@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/telemetry.h"
 #include "datasets/tabular.h"
@@ -13,6 +19,7 @@
 #include "json_test_util.h"
 #include "ml/black_box.h"
 #include "ml/sgd_logistic_regression.h"
+#include "stats/quantile_sketch.h"
 
 namespace bbv::core {
 namespace {
@@ -402,6 +409,246 @@ TEST(ModelMonitorTest, ProbaOnlyMonitorRejectsObserveAndNullPredictor) {
                   .ValueOrDie())
           .ok());
   EXPECT_NE(monitor->Summary().find("tenant"), std::string::npos);
+}
+
+TEST(ModelMonitorTest, HistoryRingKeepsTheNewestReports) {
+  common::Rng rng(19);
+  Fixture fixture = MakeFixture(rng);
+  ModelMonitor::Options options;
+  options.history_limit = 5;
+  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
+  const auto proba =
+      fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
+  std::vector<ModelMonitor::BatchReport> returned;
+  for (size_t i = 0; i < 3 * options.history_limit; ++i) {
+    // Distinct row counts tell the reports apart.
+    const auto report = monitor.Observe(proba.SelectRows(
+        std::vector<size_t>(i + 1, i % proba.rows())));
+    ASSERT_TRUE(report.ok());
+    returned.push_back(*report);
+    const size_t kept = std::min(returned.size(), options.history_limit);
+    ASSERT_EQ(monitor.history().size(), kept);
+    for (size_t j = 0; j < kept; ++j) {
+      const ModelMonitor::BatchReport& expected =
+          returned[returned.size() - kept + j];
+      EXPECT_EQ(monitor.history()[j].batch_id, expected.batch_id);
+      EXPECT_EQ(monitor.history()[j].rows, expected.rows);
+      EXPECT_EQ(monitor.history()[j].estimate, expected.estimate);
+    }
+  }
+  EXPECT_EQ(monitor.history().front().batch_id, 10u);
+  EXPECT_EQ(monitor.history().back().batch_id, 14u);
+}
+
+// ---------------------------------------------------------------------------
+// Window oracle: the running window sum against the dense-bank ring it
+// replaced
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+/// The windowed fields of one report.
+struct WindowFields {
+  ScoreEstimate estimate;
+  double relative_drop = 0.0;
+  double certified_drop = 0.0;
+  size_t batches_used = 0;
+  uint64_t rows = 0;
+  bool alarm = false;
+};
+
+void ExpectBitwiseEqual(const WindowFields& expected,
+                        const ModelMonitor::BatchReport& report,
+                        size_t batch) {
+  EXPECT_EQ(Bits(report.windowed_estimate.point),
+            Bits(expected.estimate.point))
+      << batch;
+  EXPECT_EQ(Bits(report.windowed_estimate.lo), Bits(expected.estimate.lo))
+      << batch;
+  EXPECT_EQ(Bits(report.windowed_estimate.hi), Bits(expected.estimate.hi))
+      << batch;
+  EXPECT_EQ(Bits(report.windowed_estimate.coverage_level),
+            Bits(expected.estimate.coverage_level))
+      << batch;
+  EXPECT_EQ(Bits(report.windowed_relative_drop), Bits(expected.relative_drop))
+      << batch;
+  EXPECT_EQ(Bits(report.windowed_certified_drop),
+            Bits(expected.certified_drop))
+      << batch;
+  EXPECT_EQ(report.window_batches_used, expected.batches_used) << batch;
+  EXPECT_EQ(report.window_rows, expected.rows) << batch;
+  EXPECT_EQ(report.alarm, expected.alarm) << batch;
+}
+
+/// The window as the monitor kept it before the running sum: a ring of
+/// per-batch sketch banks, copied and re-merged for every report, with the
+/// exact per-batch estimate computed first.
+class DenseRingOracle {
+ public:
+  DenseRingOracle(std::shared_ptr<const PerformancePredictor> predictor,
+                  ModelMonitor::Options options)
+      : predictor_(std::move(predictor)), options_(options) {}
+
+  /// The report's windowed fields, or nullopt for a rejected batch.
+  std::optional<WindowFields> Observe(const linalg::Matrix& probabilities) {
+    if (probabilities.rows() == 0) return std::nullopt;
+    stats::QuantileSketch::Options sketch_options;
+    sketch_options.resolution_bits = options_.sketch_resolution_bits;
+    stats::QuantileSketchBank batch_bank(0, sketch_options);
+    if (!batch_bank.Observe(probabilities).ok()) return std::nullopt;
+    const auto exact = predictor_->EstimateScoreFromProba(probabilities);
+    if (!exact.ok() || !std::isfinite(exact->point)) return std::nullopt;
+    stats::QuantileSketchBank merged = batch_bank;
+    const size_t prior = std::min(ring_.size(), options_.window_batches - 1);
+    for (size_t i = ring_.size() - prior; i < ring_.size(); ++i) {
+      if (!merged.Merge(ring_[i]).ok()) return std::nullopt;
+    }
+    const auto windowed = predictor_->EstimateScoreFromStatistics(
+        merged.PercentileFeatures(predictor_->percentile_points()));
+    if (!windowed.ok() || !std::isfinite(windowed->point)) return std::nullopt;
+    const double reference = predictor_->test_score();
+    WindowFields fields;
+    fields.estimate = *windowed;
+    fields.relative_drop = (reference - windowed->point) / reference;
+    fields.certified_drop = (reference - windowed->hi) / reference;
+    fields.batches_used = prior + 1;
+    fields.rows = merged.rows_observed();
+    fields.alarm = (options_.alarm_policy ==
+                            ModelMonitor::AlarmPolicy::kCertifiedDrop
+                        ? fields.certified_drop
+                        : fields.relative_drop) >= options_.alarm_threshold;
+    ring_.push_back(std::move(batch_bank));
+    while (ring_.size() > options_.window_batches) ring_.pop_front();
+    return fields;
+  }
+
+  void Clear() { ring_.clear(); }
+  void Swap(std::shared_ptr<const PerformancePredictor> predictor) {
+    ring_.clear();
+    predictor_ = std::move(predictor);
+  }
+
+ private:
+  std::shared_ptr<const PerformancePredictor> predictor_;
+  ModelMonitor::Options options_;
+  std::deque<stats::QuantileSketchBank> ring_;
+};
+
+TEST(ModelMonitorTest, RunningWindowSumMatchesDenseRingOracle) {
+  common::Rng rng(20);
+  Fixture fixture = MakeFixture(rng);
+  const auto predictor =
+      std::make_shared<const PerformancePredictor>(fixture.predictor);
+  // The swapped-in predictor alarms against a different reference.
+  PerformancePredictor retrained = fixture.predictor;
+  common::Rng retrain_rng(21);
+  const errors::NumericOutliers outliers;
+  std::vector<const errors::ErrorGen*> generators = {&outliers};
+  ASSERT_TRUE(retrained
+                  .Train(*fixture.model, fixture.serving, generators,
+                         retrain_rng)
+                  .ok());
+  const auto swapped =
+      std::make_shared<const PerformancePredictor>(std::move(retrained));
+
+  // A stream of batches of 1..60 rows, drifting half way through, with
+  // rejected batches mixed in: empty, NaN and three-class ones.
+  const auto clean =
+      fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
+  const errors::Scaling severe({}, errors::FractionRange{0.6, 0.9},
+                               {1000.0});
+  const auto drifted =
+      fixture.model
+          ->PredictProba(
+              severe.Corrupt(fixture.serving.features, rng).ValueOrDie())
+          .ValueOrDie();
+  std::vector<linalg::Matrix> stream;
+  for (size_t b = 0; b < 48; ++b) {
+    const linalg::Matrix& source = b < 20 ? clean : drifted;
+    std::vector<size_t> rows(1 + rng.UniformInt(60));
+    for (size_t& row : rows) row = rng.UniformInt(source.rows());
+    stream.push_back(source.SelectRows(rows));
+  }
+  stream[5] = linalg::Matrix();
+  for (const size_t b : {8, 31}) {
+    stream[b].At(stream[b].rows() - 1, 1) =
+        std::numeric_limits<double>::quiet_NaN();
+  }
+  for (const size_t b : {17, 33}) {
+    linalg::Matrix three(stream[b].rows(), 3);
+    for (size_t i = 0; i < three.rows(); ++i) {
+      three.At(i, 0) = stream[b].At(i, 0) / 2.0;
+      three.At(i, 1) = stream[b].At(i, 0) / 2.0;
+      three.At(i, 2) = stream[b].At(i, 1);
+    }
+    stream[b] = std::move(three);
+  }
+  // A three-class batch that carries an Inf as well.
+  stream[28] = stream[17];
+  stream[28].At(0, 2) = std::numeric_limits<double>::infinity();
+
+  for (const size_t window : {1, 2, 4, 7}) {
+    for (const auto policy : {ModelMonitor::AlarmPolicy::kCertifiedDrop,
+                              ModelMonitor::AlarmPolicy::kPointDrop}) {
+      ModelMonitor::Options options;
+      options.window_batches = window;
+      options.alarm_policy = policy;
+      options.alarm_threshold = 0.02;
+      options.sketch_resolution_bits = 10;
+      auto full = ModelMonitor::CreateForProba("full", predictor, options);
+      auto windowed_only =
+          ModelMonitor::CreateForProba("window", predictor, options);
+      ASSERT_TRUE(full.ok() && windowed_only.ok());
+      DenseRingOracle oracle(predictor, options);
+      size_t accepted = 0;
+      size_t alarms = 0;
+      for (size_t b = 0; b < stream.size(); ++b) {
+        if (b == 13) {
+          ASSERT_TRUE(full->SwapPredictor(swapped).ok());
+          ASSERT_TRUE(windowed_only->SwapPredictor(swapped).ok());
+          oracle.Swap(swapped);
+        }
+        if (b == 27) {
+          full->ClearWindow();
+          windowed_only->ClearWindow();
+          oracle.Clear();
+        }
+        const std::optional<WindowFields> expected = oracle.Observe(stream[b]);
+        const auto report = full->Observe(stream[b]);
+        const auto step = windowed_only->ObserveWindow(stream[b]);
+        ASSERT_EQ(report.ok(), expected.has_value()) << window << " " << b;
+        ASSERT_EQ(step.ok(), expected.has_value()) << window << " " << b;
+        if (!expected.has_value()) continue;
+        ExpectBitwiseEqual(*expected, *report, b);
+        ExpectBitwiseEqual(*expected, *step, b);
+        EXPECT_EQ(step->batch_id, report->batch_id);
+        EXPECT_EQ(step->epoch, report->epoch);
+        EXPECT_EQ(step->alarms_total, report->alarms_total);
+        ++accepted;
+        if (expected->alarm) ++alarms;
+      }
+      EXPECT_EQ(accepted, stream.size() - 6);
+      EXPECT_EQ(full->batches_observed(), accepted);
+      EXPECT_EQ(windowed_only->batches_observed(), accepted);
+      EXPECT_EQ(full->alarms_raised(), alarms);
+      EXPECT_EQ(windowed_only->alarms_raised(), alarms);
+      EXPECT_TRUE(windowed_only->history().empty());
+      // The stream must exercise both alarm outcomes.
+      EXPECT_GT(alarms, 0u) << window;
+      EXPECT_LT(alarms, accepted) << window;
+    }
+  }
+}
+
+TEST(ModelMonitorTest, ObserveWindowNeedsAWindow) {
+  common::Rng rng(22);
+  Fixture fixture = MakeFixture(rng);
+  ModelMonitor monitor(fixture.model.get(), fixture.predictor);
+  const auto proba =
+      fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
+  EXPECT_EQ(monitor.ObserveWindow(proba).status().code(),
+            common::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(monitor.batches_observed(), 0u);
 }
 
 }  // namespace

@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/serialize.h"
+#include "core/monitor.h"
 #include "core/prediction_statistics.h"
 #include "core/performance_predictor.h"
 #include "core/performance_validator.h"
@@ -28,6 +30,7 @@
 #include "ml/gradient_boosted_trees.h"
 #include "ml/random_forest.h"
 #include "ml/sgd_logistic_regression.h"
+#include "serve/streaming_scorer.h"
 #include "stats/quantile_sketch.h"
 
 namespace bbv {
@@ -355,21 +358,24 @@ TEST(PredictorSerializationTest, GarbageInputRejected) {
 }
 
 /// One tree in RegressionTree::Save's layout: a root split on `feature` at
-/// 0.5 with leaves 0.25 (left) and 0.75 (right).
-void WriteStump(common::BinaryWriter& writer, int32_t feature) {
+/// 0.5 with leaves 0.25 (left) and `right_leaf` (right).
+void WriteStump(common::BinaryWriter& writer, int32_t feature,
+                double right_leaf = 0.75) {
   writer.WriteInt32Vector({feature, -1, -1});
   writer.WriteInt32Vector({1, -1, -1});
   writer.WriteInt32Vector({2, -1, -1});
   writer.WriteDoubleVector({0.5, 0.0, 0.0});
-  writer.WriteDoubleVector({0.5, 0.25, 0.75});
+  writer.WriteDoubleVector({0.5, 0.25, right_leaf});
 }
 
 /// Save bytes of a predictor trained on synthetic two-class statistics
-/// (feature dimension 2 * |DefaultPercentilePoints()|).
-std::string SmallPredictorBytes() {
+/// (feature dimension 2 * |DefaultPercentilePoints()|); `calibrated` adds
+/// quantile-forest conformal calibration.
+std::string SmallPredictorBytes(bool calibrated = false) {
   core::PerformancePredictor::Options options;
   options.tree_count_grid = {3};
-  options.conformal_calibration = false;
+  options.conformal_calibration = calibrated;
+  options.conformal_mode = core::ConformalCalibrator::Mode::kQuantileForest;
   core::PerformancePredictor predictor(options);
   const size_t width = 2 * core::DefaultPercentilePoints().size();
   common::Rng rng(5);
@@ -387,14 +393,29 @@ std::string SmallPredictorBytes() {
 
 /// `predictor_bytes` with its forest record, which closes the archive,
 /// replaced by a one-stump forest splitting on `feature`.
-std::string WithStumpForest(std::string predictor_bytes, int32_t feature) {
+std::string WithStumpForest(std::string predictor_bytes, int32_t feature,
+                            double right_leaf = 0.75) {
   predictor_bytes.resize(predictor_bytes.find("BBVRF"));
   std::ostringstream out;
   common::BinaryWriter writer(out);
   writer.WriteMagic("BBVRF", 1);
   writer.WriteUint64(1);
-  WriteStump(writer, feature);
+  WriteStump(writer, feature, right_leaf);
   return predictor_bytes + out.str();
+}
+
+// A non-finite leaf used to load and then be served, with an OK status, as
+// a NaN/Inf estimate of every batch that reached it.
+TEST(PredictorSerializationTest, LoadRejectsNonFiniteLeafValues) {
+  const std::string trained = SmallPredictorBytes();
+  for (const double leaf : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()}) {
+    std::istringstream in(WithStumpForest(trained, 0, leaf));
+    EXPECT_EQ(core::PerformancePredictor::Load(in).status().code(),
+              common::StatusCode::kInvalidArgument)
+        << leaf;
+  }
 }
 
 // A forest splitting on a feature past the predictor's feature dimension
@@ -803,6 +824,92 @@ TEST(MutationSweepTest, QuantileSketchBank) {
       EXPECT_EQ(loaded->PercentileFeatures(points).size(),
                 loaded->num_columns() * points.size());
     }
+    return true;
+  });
+}
+
+/// A 4-row two-class probability batch.
+linalg::Matrix ProbeProbabilities() {
+  return linalg::Matrix(4, 2, {0.1, 0.9, 0.35, 0.65, 0.6, 0.4, 0.8, 0.2});
+}
+
+// Every hot-swap of a loaded predictor runs PerformancePredictor::Load and
+// then the swap and estimate paths on what it returned.
+TEST(MutationSweepTest, PerformancePredictor) {
+  const std::string bytes = SmallPredictorBytes(/*calibrated=*/true);
+  std::istringstream original_in(bytes);
+  const auto original = std::make_shared<const core::PerformancePredictor>(
+      core::PerformancePredictor::Load(original_in).ValueOrDie());
+  ASSERT_GT(original->coverage_level(), 0.0);
+  const linalg::Matrix batch = ProbeProbabilities();
+  serve::StreamingScorer::Options scorer_options;
+  scorer_options.resolution_bits = 6;
+  core::ModelMonitor::Options monitor_options;
+  monitor_options.window_batches = 2;
+  monitor_options.sketch_resolution_bits = 6;
+  SweepMutations(bytes, [&](const std::string& mutated) {
+    std::istringstream in(mutated);
+    auto loaded = core::PerformancePredictor::Load(in);
+    if (!loaded.ok()) return false;
+    const auto predictor =
+        std::make_shared<const core::PerformancePredictor>(std::move(*loaded));
+    // The service's swap: scorer first, then the tenant's monitor; either
+    // may refuse the predictor, and an accepted one must score.
+    auto scorer =
+        serve::StreamingScorer::Create(original, scorer_options).ValueOrDie();
+    EXPECT_TRUE(scorer.Ingest(batch).ok());
+    if (scorer.SwapPredictor(predictor).ok()) {
+      const auto estimate = scorer.EstimateScore();
+      EXPECT_TRUE(estimate.ok() && std::isfinite(estimate->point) &&
+                  std::isfinite(estimate->lo) && std::isfinite(estimate->hi))
+          << "a loaded predictor served no finite estimate";
+      const linalg::Matrix statistics(
+          1, predictor->feature_dimension(),
+          scorer.PercentileFeatures().ValueOrDie());
+      std::vector<core::ScoreEstimate> batched(1);
+      EXPECT_TRUE(predictor
+                      ->EstimateScoresFromStatistics(
+                          statistics, std::span<core::ScoreEstimate>(batched))
+                      .ok());
+    }
+    auto monitor = core::ModelMonitor::CreateForProba("sweep", original,
+                                                      monitor_options)
+                       .ValueOrDie();
+    EXPECT_TRUE(monitor.ObserveWindow(batch).ok());
+    if (monitor.SwapPredictor(predictor).ok()) {
+      // Rejected (a class count the predictor was not trained on) or
+      // scored, never a crash.
+      static_cast<void>(monitor.ObserveWindow(batch));
+    }
+    return true;
+  });
+}
+
+// Every rehydration of an evicted tenant runs StreamingScorer::LoadState.
+TEST(MutationSweepTest, StreamingScorerState) {
+  std::istringstream predictor_in(SmallPredictorBytes());
+  const auto predictor = std::make_shared<const core::PerformancePredictor>(
+      core::PerformancePredictor::Load(predictor_in).ValueOrDie());
+  serve::StreamingScorer::Options options;
+  options.resolution_bits = 6;
+  auto scorer = serve::StreamingScorer::Create(predictor, options).ValueOrDie();
+  ASSERT_TRUE(scorer.Ingest(ProbeProbabilities()).ok());
+  std::ostringstream out;
+  ASSERT_TRUE(scorer.SaveState(out).ok());
+  SweepMutations(out.str(), [&](const std::string& bytes) {
+    auto rehydrated =
+        serve::StreamingScorer::Create(predictor, options).ValueOrDie();
+    std::istringstream in(bytes);
+    if (!rehydrated.LoadState(in).ok()) return false;
+    // Accepted state is canonical and serves: it re-saves to the same
+    // bytes, scores when it holds rows, and keeps ingesting.
+    std::ostringstream resaved;
+    EXPECT_TRUE(rehydrated.SaveState(resaved).ok());
+    EXPECT_EQ(resaved.str(), bytes);
+    EXPECT_EQ(rehydrated.EstimateScore().ok(),
+              rehydrated.rows_ingested() > 0);
+    EXPECT_TRUE(rehydrated.Ingest(ProbeProbabilities()).ok());
+    EXPECT_TRUE(rehydrated.EstimateScore().ok());
     return true;
   });
 }

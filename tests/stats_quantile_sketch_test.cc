@@ -615,6 +615,65 @@ TEST(QuantileSketchBankTest, MergeAccumulatesAndValidates) {
   EXPECT_FALSE(left.Merge(narrow).ok());
 }
 
+TEST(QuantileSketchBankTest, RetractIsTheExactInverseOfObserve) {
+  common::Rng rng(33);
+  const std::vector<double> grid = core::DefaultPercentilePoints();
+  const linalg::Matrix a = RandomProbabilities(300, 2, rng);
+  const linalg::Matrix b = RandomProbabilities(200, 2, rng);
+
+  QuantileSketchBank sum;
+  ASSERT_TRUE(sum.Observe(a).ok());
+  ASSERT_TRUE(sum.Observe(b).ok());
+  ASSERT_TRUE(sum.Retract(a).ok());
+  QuantileSketchBank only_b;
+  ASSERT_TRUE(only_b.Observe(b).ok());
+  EXPECT_EQ(sum.rows_observed(), 200u);
+  EXPECT_EQ(BankBytes(sum), BankBytes(only_b));
+  // Queries step through the block sums, so they must agree too.
+  EXPECT_EQ(sum.PercentileFeatures(grid), only_b.PercentileFeatures(grid));
+
+  // Retracting everything leaves an empty bank of the same width, which
+  // observes like a fresh one.
+  ASSERT_TRUE(sum.Retract(b).ok());
+  EXPECT_EQ(sum.rows_observed(), 0u);
+  EXPECT_EQ(BankBytes(sum), BankBytes(QuantileSketchBank(2, {})));
+  ASSERT_TRUE(sum.Observe(b).ok());
+  EXPECT_EQ(BankBytes(sum), BankBytes(only_b));
+  EXPECT_EQ(sum.PercentileFeatures(grid), only_b.PercentileFeatures(grid));
+}
+
+TEST(QuantileSketchBankTest, RetractRejectsUnobservedBatchesWithoutChange) {
+  common::Rng rng(34);
+  QuantileSketch::Options options;
+  options.resolution_bits = 4;
+  QuantileSketchBank bank(2, options);
+  const linalg::Matrix observed(3, 2, {0.0, 1.0, 0.5, 0.5, 1.0, 0.0});
+  ASSERT_TRUE(bank.Observe(observed).ok());
+  const std::string before = BankBytes(bank);
+
+  EXPECT_FALSE(bank.Retract(linalg::Matrix()).ok());
+  EXPECT_FALSE(bank.Retract(RandomProbabilities(1, 3, rng)).ok());
+  linalg::Matrix twice = observed;
+  twice.AppendRows(observed);
+  EXPECT_FALSE(bank.Retract(twice).ok());
+  // The last entry's cell is empty: every earlier removal is put back.
+  EXPECT_FALSE(
+      bank.Retract(linalg::Matrix(3, 2, {0.0, 1.0, 0.5, 0.5, 1.0, 0.25}))
+          .ok());
+  EXPECT_EQ(BankBytes(bank), before);
+  for (const double poison : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    linalg::Matrix poisoned = observed;
+    poisoned.At(2, 1) = poison;
+    EXPECT_EQ(bank.Retract(poisoned).code(),
+              common::StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(BankBytes(bank), before);
+  EXPECT_EQ(bank.rows_observed(), 3u);
+  EXPECT_EQ(bank.PercentileFeatures({0.0, 50.0, 100.0}),
+            (std::vector<double>{0.0, 0.5, 1.0, 0.0, 0.5, 1.0}));
+}
+
 TEST(QuantileSketchBankTest, SaveLoadRoundTrips) {
   common::Rng rng(27);
   QuantileSketchBank bank;
