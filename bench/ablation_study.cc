@@ -139,7 +139,7 @@ void Run(const RunConfig& config) {
         FeatureConfig{"percentiles_only", false, false}}) {
     core::PerformanceValidator::Options options;
     options.threshold = 0.05;
-    options.corruptions_per_generator = corruption_budget;
+    options.predictor.corruptions_per_generator = corruption_budget;
     options.use_ks_features = fc.ks;
     options.use_predictor_feature = fc.predictor;
     const double f1 = ValidatorF1(*model, data.test, data.serving, mixture,

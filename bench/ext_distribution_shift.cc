@@ -54,10 +54,11 @@ void Run(const RunConfig& config) {
   constexpr size_t kBatchSize = 400;
   core::PerformanceValidator::Options options;
   options.threshold = 0.05;
-  options.corruptions_per_generator = 4 * config.CorruptionsPerGenerator();
+  options.predictor.corruptions_per_generator =
+      4 * config.CorruptionsPerGenerator();
   // Serve and meta-train on equally sized batches so the percentile and KS
   // features carry the same sampling noise.
-  options.meta_batch_size = kBatchSize;
+  options.predictor.meta_batch_size = kBatchSize;
   core::PerformanceValidator validator(options);
   const std::vector<const errors::ErrorGen*> generators = {&training_errors};
   BBV_CHECK(validator.Train(*model, data.test, generators, rng).ok());

@@ -121,7 +121,8 @@ void RunCell(const std::string& dataset_name, const std::string& model_name,
     // The mixture generator internally randomizes over the four error
     // types; scale the repetitions to keep the meta-training set size
     // comparable to one-generator-per-type training.
-    options.corruptions_per_generator = 4 * config.CorruptionsPerGenerator();
+    options.predictor.corruptions_per_generator =
+        4 * config.CorruptionsPerGenerator();
     core::PerformanceValidator validator(options);
     const std::vector<const errors::ErrorGen*> training_errors = {
         &known_mixture};

@@ -69,7 +69,7 @@ void RunCell(const std::string& automl_name, const std::string& dataset_name,
   for (double threshold : {0.03, 0.05, 0.10}) {
     core::PerformanceValidator::Options options;
     options.threshold = threshold;
-    options.corruptions_per_generator =
+    options.predictor.corruptions_per_generator =
         (image_data ? 2 : 4) * config.CorruptionsPerGenerator();
     core::PerformanceValidator validator(options);
     const std::vector<const errors::ErrorGen*> training_errors = {&mixture};

@@ -61,11 +61,13 @@ int main() {
 
   bbv::core::PerformanceValidator::Options options;
   options.threshold = 0.05;
-  options.corruptions_per_generator = 200;
-  // Daily batches hold ~600 rows; meta-train on 600-row subsets so the
-  // validator's features carry the same sampling noise it will see live.
-  options.meta_batch_size = 600;
-  options.clean_copies = 25;
+  // The collection pass both the validator and its internal predictor
+  // learn from is configured once, on the predictor's options. Daily batches
+  // hold ~600 rows; meta-train on 600-row subsets so the validator's
+  // features carry the same sampling noise it will see live.
+  options.predictor.corruptions_per_generator = 200;
+  options.predictor.meta_batch_size = 600;
+  options.predictor.clean_copies = 25;
   bbv::core::PerformanceValidator validator(options);
   std::vector<const bbv::errors::ErrorGen*> generators = {&incidents};
   BBV_CHECK(validator.Train(model, test, generators, rng).ok());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 
 #include "common/parallel.h"
@@ -54,38 +55,63 @@ common::Status PerformancePredictor::Train(
   if (test.NumRows() == 0) {
     return common::Status::InvalidArgument("empty test dataset");
   }
-  if (generators.empty()) {
-    return common::Status::InvalidArgument(
-        "need at least one error generator");
-  }
 
   // Score on the clean test data (line 2 of Algorithm 1).
   BBV_ASSIGN_OR_RETURN(linalg::Matrix clean_probabilities,
                        model.PredictProba(test.features));
   test_score_ = ComputeScore(options_.metric, clean_probabilities, test.labels);
 
-  // Collect the meta-training set M (lines 3-12). Every corrupt → predict →
-  // score pass is independent, so the collection fans out over the shared
-  // thread pool: one pre-forked Rng per task keeps the collected set (and
-  // hence the serialized model) bit-identical at every thread count.
-  const bool subsample = options_.meta_batch_size > 0 &&
-                         options_.meta_batch_size < test.NumRows();
-  std::vector<const errors::ErrorGen*> task_generators;
-  for (int c = 0; c < options_.clean_copies; ++c) {
-    task_generators.push_back(nullptr);  // clean copy
-  }
-  for (const errors::ErrorGen* generator : generators) {
-    BBV_CHECK(generator != nullptr);
-    for (int repetition = 0; repetition < options_.corruptions_per_generator;
-         ++repetition) {
-      task_generators.push_back(generator);
-    }
-  }
+  // Collect the meta-training set M over every test row (lines 3-12).
+  std::vector<size_t> all_rows(test.NumRows());
+  std::iota(all_rows.begin(), all_rows.end(), size_t{0});
+  BBV_ASSIGN_OR_RETURN(
+      MetaTrainingSet collected,
+      CollectMetaTrainingSet(model, test, clean_probabilities, generators,
+                             options_, all_rows, /*keep_batches=*/false, rng));
   common::telemetry::IncrementCounter("predictor.meta_examples",
-                                      task_generators.size());
+                                      collected.scores.size());
+  return TrainFromStatistics(collected.statistics, collected.scores,
+                             test_score_, rng);
+}
+
+common::Result<MetaTrainingSet> CollectMetaTrainingSet(
+    const ml::BlackBox& model, const data::Dataset& test,
+    const linalg::Matrix& clean_probabilities,
+    const std::vector<const errors::ErrorGen*>& generators,
+    const PerformancePredictor::Options& options,
+    const std::vector<size_t>& row_pool, bool keep_batches,
+    common::Rng& rng) {
+  if (generators.empty()) {
+    return common::Status::InvalidArgument(
+        "need at least one error generator");
+  }
+  if (std::find(generators.begin(), generators.end(), nullptr) !=
+      generators.end()) {
+    return common::Status::InvalidArgument("null error generator");
+  }
+  if (row_pool.empty()) {
+    return common::Status::InvalidArgument("empty meta-example row pool");
+  }
+  std::vector<const errors::ErrorGen*> task_generators(
+      static_cast<size_t>(std::max(options.clean_copies, 0)),
+      nullptr);  // clean copies
+  for (const errors::ErrorGen* generator : generators) {
+    task_generators.insert(
+        task_generators.end(),
+        static_cast<size_t>(std::max(options.corruptions_per_generator, 0)),
+        generator);
+  }
+  // Every corrupt → predict → score pass is independent, so the collection
+  // fans out over the shared thread pool: one pre-forked Rng per task keeps
+  // the collected set (and hence every serialized model) bit-identical at
+  // every thread count.
+  const bool subsample = options.meta_batch_size > 0 &&
+                         options.meta_batch_size < row_pool.size();
   std::vector<common::Rng> task_rngs = rng.ForkStreams(task_generators.size());
-  std::vector<std::vector<double>> feature_rows(task_generators.size());
-  std::vector<double> scores(task_generators.size());
+  MetaTrainingSet collected;
+  collected.statistics.resize(task_generators.size());
+  collected.scores.resize(task_generators.size());
+  if (keep_batches) collected.batches.resize(task_generators.size());
   BBV_RETURN_NOT_OK(common::ParallelFor(
       task_generators.size(), [&](size_t task) -> common::Status {
         common::Rng& task_rng = task_rngs[task];
@@ -99,23 +125,23 @@ common::Status PerformancePredictor::Train(
                                model.PredictProba(corrupted));
           probabilities = &corrupted_probabilities;
         }
+        // Row-index view: no per-task sub-matrix or label copies.
+        std::vector<size_t> rows = row_pool;
         if (subsample) {
-          // Row-index view: no per-repetition sub-matrix/label copies.
-          const std::vector<size_t> rows = task_rng.SampleWithoutReplacement(
-              test.NumRows(), options_.meta_batch_size);
-          feature_rows[task] = PredictionStatistics(
-              *probabilities, rows, options_.percentile_points);
-          scores[task] =
-              ComputeScore(options_.metric, *probabilities, rows, test.labels);
-        } else {
-          feature_rows[task] = PredictionStatistics(
-              *probabilities, options_.percentile_points);
-          scores[task] =
-              ComputeScore(options_.metric, *probabilities, test.labels);
+          rows = task_rng.SampleWithoutReplacement(row_pool.size(),
+                                                   options.meta_batch_size);
+          for (size_t& row : rows) row = row_pool[row];
+        }
+        collected.statistics[task] = PredictionStatistics(
+            *probabilities, rows, options.percentile_points);
+        collected.scores[task] =
+            ComputeScore(options.metric, *probabilities, rows, test.labels);
+        if (keep_batches) {
+          collected.batches[task] = probabilities->SelectRows(rows);
         }
         return common::Status::OK();
       }));
-  return TrainFromStatistics(feature_rows, scores, test_score_, rng);
+  return collected;
 }
 
 common::Status PerformancePredictor::TrainFromStatistics(
@@ -127,6 +153,15 @@ common::Status PerformancePredictor::TrainFromStatistics(
   }
   if (statistics.empty()) {
     return common::Status::InvalidArgument("no meta-training examples");
+  }
+  const size_t width = statistics.front().size();
+  if (width == 0 ||
+      std::any_of(statistics.begin(), statistics.end(),
+                  [&](const std::vector<double>& row) {
+                    return row.size() != width;
+                  })) {
+    return common::Status::InvalidArgument(
+        "statistics rows must be non-empty and of equal length");
   }
   test_score_ = test_score;
   const linalg::Matrix features = linalg::Matrix::FromRows(statistics);
@@ -441,31 +476,6 @@ PerformancePredictor::EstimateScoreFromStatistics(
   common::telemetry::IncrementCounter("predictor.estimate.calls");
   const double point = regressor_.PredictRow(statistics.data());
   return IntervalFor(point, statistics.data(), coverage_level);
-}
-
-common::Status PerformancePredictor::EstimateScoresFromStatistics(
-    const linalg::Matrix& statistics, std::span<double> out) const {
-  const common::telemetry::TraceSpan span("predictor.estimate_batch");
-  if (!trained_) {
-    return common::Status::FailedPrecondition("EstimateScore before Train");
-  }
-  if (statistics.cols() != feature_dimension_) {
-    return common::Status::InvalidArgument(
-        "feature matrix has " + std::to_string(statistics.cols()) +
-        " columns but the predictor was trained on " +
-        std::to_string(feature_dimension_));
-  }
-  if (out.size() != statistics.rows()) {
-    return common::Status::InvalidArgument(
-        "output span holds " + std::to_string(out.size()) +
-        " slots for " + std::to_string(statistics.rows()) + " feature rows");
-  }
-  if (statistics.rows() == 0) return common::Status::OK();
-  common::telemetry::IncrementCounter("predictor.estimate.calls",
-                                      statistics.rows());
-  common::telemetry::IncrementCounter("predictor.estimate.batches");
-  regressor_.PredictInto(statistics, out);
-  return common::Status::OK();
 }
 
 common::Status PerformancePredictor::EstimateScoresFromStatistics(

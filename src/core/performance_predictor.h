@@ -94,10 +94,11 @@ class PerformancePredictor {
       const std::vector<const errors::ErrorGen*>& generators,
       common::Rng& rng);
 
-  /// Variant of Algorithm 1 for callers that already generated the
-  /// (prediction statistics, score) pairs — e.g. the performance validator,
-  /// which shares one corruption pass between itself and its internal
-  /// predictor. `test_score` is the clean-test reference score l_test.
+  /// Variant of Algorithm 1 for callers that already collected the
+  /// (prediction statistics, score) pairs with CollectMetaTrainingSet — e.g.
+  /// the performance validator, which shares one collection pass between
+  /// itself and its internal predictor. `test_score` is the clean-test
+  /// reference score l_test. Ragged statistics rows are InvalidArgument.
   common::Status TrainFromStatistics(
       const std::vector<std::vector<double>>& statistics,
       const std::vector<double>& scores, double test_score, common::Rng& rng);
@@ -157,10 +158,7 @@ class PerformancePredictor {
   /// walk, and the interval is a pure function of the point (plus, in
   /// quantile-forest mode, the per-row tree spread, computed identically on
   /// both paths). `statistics` must have feature_dimension() columns and
-  /// `out.size()` rows. The point-only overload is the serving fast path
-  /// for consumers that do not read intervals.
-  common::Status EstimateScoresFromStatistics(const linalg::Matrix& statistics,
-                                              std::span<double> out) const;
+  /// `out.size()` rows.
   common::Status EstimateScoresFromStatistics(
       const linalg::Matrix& statistics, std::span<ScoreEstimate> out) const;
 
@@ -223,6 +221,33 @@ class PerformancePredictor {
   ml::RandomForestRegressor regressor_;
   ConformalCalibrator calibrator_;
 };
+
+/// The meta-training set M of Algorithm 1: one (output statistics, true
+/// score) pair per clean or corrupted copy of the test set.
+struct MetaTrainingSet {
+  std::vector<std::vector<double>> statistics;
+  std::vector<double> scores;
+  /// The model outputs each pair was computed on; filled only on request.
+  std::vector<linalg::Matrix> batches;
+};
+
+/// Algorithm 1's collection pass (lines 3-12), the one both the predictor
+/// and the validator meta-train through: `options.clean_copies` clean
+/// copies plus `options.corruptions_per_generator` corrupted copies of
+/// `test.features` per generator, each run through `model`, each on its
+/// own pre-forked stream of `rng` so the set is bit-identical at every
+/// thread count. Every example is computed on the rows of `row_pool` (test
+/// row ids), or on a random `options.meta_batch_size` of them when that is
+/// non-zero and smaller. `clean_probabilities` are the model's outputs on
+/// the uncorrupted `test.features`. Empty or null generators are
+/// InvalidArgument.
+common::Result<MetaTrainingSet> CollectMetaTrainingSet(
+    const ml::BlackBox& model, const data::Dataset& test,
+    const linalg::Matrix& clean_probabilities,
+    const std::vector<const errors::ErrorGen*>& generators,
+    const PerformancePredictor::Options& options,
+    const std::vector<size_t>& row_pool, bool keep_batches,
+    common::Rng& rng);
 
 }  // namespace bbv::core
 

@@ -5,6 +5,7 @@
 #include "common/parallel.h"
 #include "common/telemetry.h"
 #include "core/prediction_statistics.h"
+#include "linalg/matrix_io.h"
 #include "ml/cross_validation.h"
 #include "ml/metrics.h"
 #include "stats/hypothesis.h"
@@ -28,8 +29,8 @@ PerformancePredictor::Options WithoutCalibration(
 PerformanceValidator::PerformanceValidator(Options options)
     : options_(std::move(options)),
       predictor_(WithoutCalibration(options_.predictor)) {
-  if (options_.percentile_points.empty()) {
-    options_.percentile_points = DefaultPercentilePoints();
+  if (options_.predictor.percentile_points.empty()) {
+    options_.predictor.percentile_points = DefaultPercentilePoints();
   }
   BBV_CHECK(options_.threshold > 0.0 && options_.threshold < 1.0);
 }
@@ -43,14 +44,10 @@ common::Status PerformanceValidator::Train(
   if (test.NumRows() == 0) {
     return common::Status::InvalidArgument("empty test dataset");
   }
-  if (generators.empty()) {
-    return common::Status::InvalidArgument(
-        "need at least one error generator");
-  }
   BBV_ASSIGN_OR_RETURN(linalg::Matrix clean_probabilities,
                        model.PredictProba(test.features));
-  test_score_ =
-      ComputeScore(options_.metric, clean_probabilities, test.labels);
+  test_score_ = ComputeScore(options_.predictor.metric, clean_probabilities,
+                             test.labels);
 
   // Split the test rows into a KS-reference half and a meta-example half.
   // At validation time the serving batch is disjoint from the retained
@@ -71,66 +68,17 @@ common::Status PerformanceValidator::Train(
   }
   test_probabilities_ = clean_probabilities.SelectRows(reference_rows);
 
-  // One corruption pass shared between the internal performance predictor
-  // and the validator's decision model. The passes are independent, so they
-  // fan out over the shared thread pool with one pre-forked Rng per task;
-  // results land in per-task slots, keeping training bit-identical at every
-  // thread count.
-  const size_t batch_size =
-      options_.meta_batch_size > 0
-          ? std::min(options_.meta_batch_size, example_rows.size())
-          : example_rows.size();
-  std::vector<const errors::ErrorGen*> task_generators;
-  for (int c = 0; c < options_.clean_copies; ++c) {
-    task_generators.push_back(nullptr);  // clean copy
-  }
-  for (const errors::ErrorGen* generator : generators) {
-    BBV_CHECK(generator != nullptr);
-    for (int repetition = 0; repetition < options_.corruptions_per_generator;
-         ++repetition) {
-      task_generators.push_back(generator);
-    }
-  }
-  std::vector<common::Rng> task_rngs = rng.ForkStreams(task_generators.size());
-  std::vector<linalg::Matrix> probability_batches(task_generators.size());
-  std::vector<std::vector<double>> statistics_rows(task_generators.size());
-  std::vector<double> scores(task_generators.size());
-  BBV_RETURN_NOT_OK(common::ParallelFor(
-      task_generators.size(), [&](size_t task) -> common::Status {
-        common::Rng& task_rng = task_rngs[task];
-        const linalg::Matrix* probabilities = &clean_probabilities;
-        linalg::Matrix corrupted_probabilities;
-        if (task_generators[task] != nullptr) {
-          BBV_ASSIGN_OR_RETURN(
-              data::DataFrame corrupted,
-              task_generators[task]->Corrupt(test.features, task_rng));
-          BBV_ASSIGN_OR_RETURN(corrupted_probabilities,
-                               model.PredictProba(corrupted));
-          probabilities = &corrupted_probabilities;
-        }
-        // Pick the meta-example rows from the example half only.
-        std::vector<size_t> rows = example_rows;
-        if (batch_size < example_rows.size()) {
-          const std::vector<size_t> picks =
-              task_rng.SampleWithoutReplacement(example_rows.size(),
-                                                batch_size);
-          rows.clear();
-          rows.reserve(batch_size);
-          for (size_t pick : picks) rows.push_back(example_rows[pick]);
-        }
-        // The batch is materialized because BuildFeatures later runs
-        // per-class KS tests against its columns; statistics and score use
-        // the row view.
-        statistics_rows[task] = PredictionStatistics(
-            *probabilities, rows, options_.percentile_points);
-        scores[task] =
-            ComputeScore(options_.metric, *probabilities, rows, test.labels);
-        probability_batches[task] = probabilities->SelectRows(rows);
-        return common::Status::OK();
-      }));
-
-  BBV_RETURN_NOT_OK(predictor_.TrainFromStatistics(statistics_rows, scores,
-                                                   test_score_, rng));
+  // One collection pass shared between the internal performance predictor
+  // and the validator's decision model. The batches are kept because
+  // BuildFeatures runs per-class KS tests against their columns.
+  BBV_ASSIGN_OR_RETURN(
+      MetaTrainingSet collected,
+      CollectMetaTrainingSet(model, test, clean_probabilities, generators,
+                             options_.predictor, example_rows,
+                             /*keep_batches=*/true, rng));
+  const std::vector<double>& scores = collected.scores;
+  BBV_RETURN_NOT_OK(predictor_.TrainFromStatistics(collected.statistics,
+                                                   scores, test_score_, rng));
 
   // Meta-labels: 1 = quality within the threshold, 0 = violation.
   std::vector<int> labels(scores.size());
@@ -139,10 +87,9 @@ common::Status PerformanceValidator::Train(
     labels[i] = scores[i] >= floor ? 1 : 0;
   }
 
-  std::vector<std::vector<double>> feature_rows;
-  feature_rows.reserve(probability_batches.size());
-  for (const linalg::Matrix& probabilities : probability_batches) {
-    feature_rows.push_back(BuildFeatures(probabilities));
+  std::vector<std::vector<double>> feature_rows(collected.batches.size());
+  for (size_t i = 0; i < collected.batches.size(); ++i) {
+    BBV_ASSIGN_OR_RETURN(feature_rows[i], BuildFeatures(collected.batches[i]));
   }
 
   const bool has_ok =
@@ -223,10 +170,10 @@ common::Status PerformanceValidator::Train(
   return common::Status::OK();
 }
 
-std::vector<double> PerformanceValidator::BuildFeatures(
+common::Result<std::vector<double>> PerformanceValidator::BuildFeatures(
     const linalg::Matrix& probabilities) const {
   std::vector<double> features =
-      PredictionStatistics(probabilities, options_.percentile_points);
+      PredictionStatistics(probabilities, options_.predictor.percentile_points);
   // Hypothesis-test features: per-class two-sample KS between the batch
   // outputs and the retained clean test outputs [13].
   if (options_.use_ks_features) {
@@ -240,19 +187,18 @@ std::vector<double> PerformanceValidator::BuildFeatures(
   // The internal performance predictor's estimate and the implied relative
   // drop against the clean test score.
   if (options_.use_predictor_feature) {
-    const auto estimate = predictor_.EstimateScoreFromProba(probabilities);
-    const double estimated_score =
-        estimate.ok() ? estimate->point : test_score_;
-    features.push_back(estimated_score);
+    BBV_ASSIGN_OR_RETURN(const ScoreEstimate estimate,
+                         predictor_.EstimateScoreFromProba(probabilities));
+    features.push_back(estimate.point);
     features.push_back(test_score_ > 0.0
-                           ? (test_score_ - estimated_score) / test_score_
+                           ? (test_score_ - estimate.point) / test_score_
                            : 0.0);
   }
   return features;
 }
 
 size_t PerformanceValidator::FeatureWidth(size_t num_classes) const {
-  return num_classes * options_.percentile_points.size() +
+  return num_classes * options_.predictor.percentile_points.size() +
          (options_.use_ks_features ? 2 * num_classes : 0) +
          (options_.use_predictor_feature ? 2 : 0);
 }
@@ -270,6 +216,12 @@ common::Result<bool> PerformanceValidator::ValidateFromProba(
   if (!trained_) {
     return common::Status::FailedPrecondition("Validate before Train");
   }
+  if (probabilities.rows() == 0 ||
+      probabilities.cols() != test_probabilities_.cols()) {
+    return common::Status::InvalidArgument(
+        "batch must be non-empty with one column per class the validator "
+        "was trained on");
+  }
   common::telemetry::IncrementCounter("validator.validate.calls");
   bool verdict = false;
   if (degenerate_) {
@@ -278,7 +230,8 @@ common::Result<bool> PerformanceValidator::ValidateFromProba(
                          predictor_.EstimateScoreFromProba(probabilities));
     verdict = estimate.point >= (1.0 - options_.threshold) * test_score_;
   } else {
-    const std::vector<double> features = BuildFeatures(probabilities);
+    BBV_ASSIGN_OR_RETURN(const std::vector<double> features,
+                         BuildFeatures(probabilities));
     const linalg::Matrix decision = decision_model_.PredictProba(
         linalg::Matrix(1, features.size(), features));
     verdict = decision.At(0, 1) >= decision_threshold_;
@@ -307,17 +260,15 @@ common::Status PerformanceValidator::Save(std::ostream& out) const {
   common::BinaryWriter writer(out);
   writer.WriteMagic(kValidatorMagic, kValidatorVersion);
   writer.WriteDouble(options_.threshold);
-  writer.WriteInt32(static_cast<int32_t>(options_.metric));
-  writer.WriteDoubleVector(options_.percentile_points);
+  writer.WriteInt32(static_cast<int32_t>(options_.predictor.metric));
+  writer.WriteDoubleVector(options_.predictor.percentile_points);
   writer.WriteInt32(options_.use_ks_features ? 1 : 0);
   writer.WriteInt32(options_.use_predictor_feature ? 1 : 0);
   writer.WriteDouble(test_score_);
   writer.WriteInt32(degenerate_ ? 1 : 0);
   writer.WriteInt32(degenerate_label_);
   writer.WriteDouble(decision_threshold_);
-  writer.WriteUint64(test_probabilities_.rows());
-  writer.WriteUint64(test_probabilities_.cols());
-  writer.WriteDoubleVector(test_probabilities_.data());
+  linalg::WriteMatrix(writer, test_probabilities_);
   BBV_RETURN_NOT_OK(writer.status());
   BBV_RETURN_NOT_OK(predictor_.Save(out));
   if (!degenerate_) {
@@ -339,9 +290,10 @@ common::Result<PerformanceValidator> PerformanceValidator::Load(
   if (metric < 0 || metric > static_cast<int32_t>(ScoreMetric::kRocAuc)) {
     return common::Status::InvalidArgument("corrupt score metric");
   }
-  options.metric = static_cast<ScoreMetric>(metric);
-  BBV_ASSIGN_OR_RETURN(options.percentile_points, reader.ReadDoubleVector());
-  if (options.percentile_points.empty()) {
+  options.predictor.metric = static_cast<ScoreMetric>(metric);
+  BBV_ASSIGN_OR_RETURN(options.predictor.percentile_points,
+                       reader.ReadDoubleVector());
+  if (options.predictor.percentile_points.empty()) {
     return common::Status::InvalidArgument("corrupt percentile grid");
   }
   BBV_ASSIGN_OR_RETURN(int32_t use_ks, reader.ReadInt32());
@@ -355,17 +307,24 @@ common::Result<PerformanceValidator> PerformanceValidator::Load(
   validator.degenerate_ = degenerate != 0;
   BBV_ASSIGN_OR_RETURN(validator.degenerate_label_, reader.ReadInt32());
   BBV_ASSIGN_OR_RETURN(validator.decision_threshold_, reader.ReadDouble());
-  BBV_ASSIGN_OR_RETURN(uint64_t rows, reader.ReadUint64());
-  BBV_ASSIGN_OR_RETURN(uint64_t cols, reader.ReadUint64());
-  BBV_ASSIGN_OR_RETURN(std::vector<double> values,
-                       reader.ReadDoubleVector());
-  if (values.size() != rows * cols) {
-    return common::Status::InvalidArgument("corrupt retained test outputs");
-  }
-  validator.test_probabilities_ =
-      linalg::Matrix(rows, cols, std::move(values));
+  BBV_ASSIGN_OR_RETURN(validator.test_probabilities_,
+                       linalg::ReadMatrix(reader));
   BBV_ASSIGN_OR_RETURN(validator.predictor_,
                        PerformancePredictor::Load(in));
+  // The percentile features and the predictor estimate must come from one
+  // grid, and every class column the KS features compare against must be
+  // one the predictor was trained on.
+  if (validator.predictor_.percentile_points() !=
+      options.predictor.percentile_points) {
+    return common::Status::InvalidArgument(
+        "embedded predictor's percentile grid differs from the validator's");
+  }
+  const size_t cols = validator.test_probabilities_.cols();
+  if (validator.test_probabilities_.rows() == 0 ||
+      cols * options.predictor.percentile_points.size() !=
+          validator.predictor_.feature_dimension()) {
+    return common::Status::InvalidArgument("corrupt retained test outputs");
+  }
   if (!validator.degenerate_) {
     BBV_ASSIGN_OR_RETURN(validator.decision_model_,
                          ml::GradientBoostedTrees::Load(in));

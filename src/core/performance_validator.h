@@ -28,16 +28,6 @@ class PerformanceValidator {
   struct Options {
     /// Acceptable relative quality drop, e.g. 0.05 for 5%.
     double threshold = 0.05;
-    /// Corrupted copies of D_test per generator for meta-training.
-    int corruptions_per_generator = 100;
-    int clean_copies = 5;
-    std::vector<double> percentile_points;
-    ScoreMetric metric = ScoreMetric::kAccuracy;
-    /// When non-zero, every meta-training example is computed on a random
-    /// row subset of this size (set to the expected serving batch size so
-    /// the percentile and KS features carry the same sampling noise at
-    /// training and validation time).
-    size_t meta_batch_size = 0;
     /// Ablation switches: drop the Kolmogorov-Smirnov features or the
     /// internal predictor's estimate from the decision model's inputs.
     bool use_ks_features = true;
@@ -46,14 +36,19 @@ class PerformanceValidator {
     /// accept/reject decision (paper §4).
     ml::GradientBoostedTrees::Options gbdt;
     /// Options for the internal performance predictor whose estimate is one
-    /// of the validator's features.
+    /// of the validator's features. They also drive the validator's own
+    /// meta-training: the collection pass both models learn from reads its
+    /// percentile grid, score metric, clean and corrupted copy counts and
+    /// meta_batch_size (set the latter to the expected serving batch size
+    /// so the percentile and KS features carry the same sampling noise at
+    /// training and validation time).
     PerformancePredictor::Options predictor;
 
     Options() {
       gbdt.num_rounds = 40;
       gbdt.tree.max_depth = 3;
-      // The internal predictor shares the corrupted datasets; its own
-      // corruption loop is skipped (see Train), so keep its grid small.
+      // The internal predictor only refits on the shared collection pass
+      // (see Train), so keep its tree-count grid small.
       predictor.tree_count_grid = {50};
     }
   };
@@ -61,9 +56,11 @@ class PerformanceValidator {
   PerformanceValidator() : PerformanceValidator(Options{}) {}
   explicit PerformanceValidator(Options options);
 
-  /// Meta-trains the validator: corrupts `test` with each generator,
-  /// labels each corrupted copy by whether the model's true score stayed
-  /// within the threshold, and fits the GBDT on the combined features.
+  /// Meta-trains the validator: runs Algorithm 1's collection pass
+  /// (CollectMetaTrainingSet) over half of `test`, fits the internal
+  /// predictor on it, labels each copy by whether the model's true score
+  /// stayed within the threshold, and fits the GBDT on the combined
+  /// features.
   common::Status Train(
       const ml::BlackBox& model, const data::Dataset& test,
       const std::vector<const errors::ErrorGen*>& generators,
@@ -90,7 +87,8 @@ class PerformanceValidator {
  private:
   /// Feature vector: percentiles + per-class KS statistic/p-value against
   /// the retained test outputs + internal predictor estimate.
-  std::vector<double> BuildFeatures(const linalg::Matrix& probabilities) const;
+  common::Result<std::vector<double>> BuildFeatures(
+      const linalg::Matrix& probabilities) const;
   /// Length of the vector BuildFeatures returns for a batch of
   /// `num_classes` probability columns.
   size_t FeatureWidth(size_t num_classes) const;

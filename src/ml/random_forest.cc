@@ -1,6 +1,5 @@
 #include "ml/random_forest.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/parallel.h"
@@ -24,9 +23,6 @@ common::Status RandomForestRegressor::Fit(const linalg::Matrix& features,
     return common::Status::InvalidArgument("num_trees must be positive");
   }
   const size_t n = features.rows();
-  const size_t bootstrap_size = std::max<size_t>(
-      1, static_cast<size_t>(options_.bootstrap_fraction *
-                             static_cast<double>(n)));
   const size_t num_trees = static_cast<size_t>(options_.num_trees);
   common::telemetry::IncrementCounter("forest.fit.calls");
   common::telemetry::IncrementCounter("forest.trees_fitted", num_trees);
@@ -43,10 +39,9 @@ common::Status RandomForestRegressor::Fit(const linalg::Matrix& features,
       common::ParallelMap<RegressionTree>(
           num_trees, [&](size_t t) -> common::Result<RegressionTree> {
             common::Rng& tree_rng = tree_rngs[t];
-            std::vector<size_t> rows(bootstrap_size);
-            for (size_t i = 0; i < bootstrap_size; ++i) {
-              rows[i] = tree_rng.UniformInt(n);
-            }
+            // Bootstrap sample: n draws with replacement.
+            std::vector<size_t> rows(n);
+            for (size_t& row : rows) row = tree_rng.UniformInt(n);
             RegressionTree tree(options_.tree);
             BBV_RETURN_NOT_OK(
                 tree.Fit(features, targets, rows, tree_rng, &presort));

@@ -27,8 +27,6 @@ class RandomForestRegressor {
   struct Options {
     int num_trees = 100;
     TreeOptions tree;
-    /// Bootstrap sample size as a fraction of the training set.
-    double bootstrap_fraction = 1.0;
 
     Options() {
       tree.max_depth = 10;

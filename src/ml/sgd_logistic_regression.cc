@@ -44,7 +44,7 @@ common::Status SgdLogisticRegression::Fit(const linalg::Matrix& features,
       ++step;
       const double eta =
           options_.learning_rate /
-          std::pow(static_cast<double>(step), options_.decay_power);
+          std::pow(static_cast<double>(step), 0.25);
       // Accumulate gradients over the batch.
       linalg::Matrix grad_w(d, m);
       std::vector<double> grad_b(m, 0.0);

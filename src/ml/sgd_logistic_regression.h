@@ -22,9 +22,9 @@ class SgdLogisticRegression : public Classifier {
   struct Options {
     int epochs = 50;
     size_t batch_size = 32;
+    /// Initial step eta0 of the inverse-scaling schedule
+    /// eta_t = eta0 / t^0.25.
     double learning_rate = 0.1;
-    /// Inverse-scaling learning-rate decay exponent (eta_t = eta0 / t^power).
-    double decay_power = 0.25;
     Penalty penalty = Penalty::kL2;
     double regularization = 1e-4;
   };

@@ -157,7 +157,7 @@ PipelineOutputs RunPipeline() {
   outputs.predictor_bytes = serialized.str();
 
   core::PerformanceValidator::Options validator_options;
-  validator_options.corruptions_per_generator = 10;
+  validator_options.predictor.corruptions_per_generator = 10;
   validator_options.predictor.tree_count_grid = {10};
   validator_options.gbdt.num_rounds = 10;
   core::PerformanceValidator validator(validator_options);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/performance_predictor.h"
 #include "core/performance_validator.h"
 #include "datasets/tabular.h"
@@ -48,6 +49,15 @@ class ScopedThreadsEnv {
   bool had_previous_ = false;
   std::string previous_;
 };
+
+// Fnv1aHash of the serial Save bytes of the two Train fixtures below,
+// recorded before the predictor and the validator shared one collection
+// pass.
+constexpr uint64_t kPinnedPredictorDigest = 0xa49ca8bd812485a2ULL;
+constexpr uint64_t kPinnedValidatorDigest = 0xcf83678e97519c60ULL;
+// ... and of CollectionPassVariantsArePinned's two fixtures.
+constexpr uint64_t kPinnedSubsampledPredictorDigest = 0x2d6d56d83493887fULL;
+constexpr uint64_t kPinnedFullBatchValidatorDigest = 0x68648cdae06f4fc1ULL;
 
 struct Fixture {
   data::Dataset train;
@@ -134,6 +144,10 @@ TEST(DeterminismTest, PredictorSerializesIdenticallyAcrossThreadCounts) {
   // Identical bytes should imply identical estimates; assert both anyway so
   // a failure pinpoints whether inference (not training) diverged.
   EXPECT_EQ(serial_estimate, threaded_estimate);  // bbv-lint: allow(float-eq)
+  // Pins the whole of Algorithm 1 through Train (collection pass, forest
+  // fit, calibration), not only the thread-count invariance: a refactor of
+  // the collection loop must reproduce these bytes.
+  EXPECT_EQ(common::Fnv1aHash(serial_bytes), kPinnedPredictorDigest);
 }
 
 TEST(DeterminismTest, ValidatorSerializesIdenticallyAcrossThreadCounts) {
@@ -145,8 +159,8 @@ TEST(DeterminismTest, ValidatorSerializesIdenticallyAcrossThreadCounts) {
     common::Rng rng(99);
     Fixture fixture = MakeFixture(rng, 1200);
     PerformanceValidator::Options options;
-    options.corruptions_per_generator = 8;
-    options.meta_batch_size = 100;
+    options.predictor.corruptions_per_generator = 8;
+    options.predictor.meta_batch_size = 100;
     PerformanceValidator validator(options);
     BBV_CHECK(
         validator.Train(*fixture.model, fixture.test, generators, rng).ok());
@@ -160,6 +174,45 @@ TEST(DeterminismTest, ValidatorSerializesIdenticallyAcrossThreadCounts) {
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(serial, threaded)
       << "validator bytes diverge between 1 and 8 threads";
+  EXPECT_EQ(common::Fnv1aHash(serial), kPinnedValidatorDigest);
+}
+
+// The two collection-pass variants the fixtures above leave out: a
+// predictor meta-trained on row subsets, and a validator meta-trained on its
+// whole example half.
+TEST(DeterminismTest, CollectionPassVariantsArePinned) {
+  const errors::MissingValues missing;
+  const std::vector<const errors::ErrorGen*> generators = {&missing};
+
+  common::Rng predictor_rng(7);
+  Fixture predictor_fixture = MakeFixture(predictor_rng, 1200);
+  PerformancePredictor::Options predictor_options;
+  predictor_options.corruptions_per_generator = 8;
+  predictor_options.meta_batch_size = 100;
+  predictor_options.tree_count_grid = {10};
+  PerformancePredictor predictor(predictor_options);
+  ASSERT_TRUE(predictor
+                  .Train(*predictor_fixture.model, predictor_fixture.test,
+                         generators, predictor_rng)
+                  .ok());
+  std::ostringstream predictor_bytes;
+  ASSERT_TRUE(predictor.Save(predictor_bytes).ok());
+  EXPECT_EQ(common::Fnv1aHash(predictor_bytes.str()),
+            kPinnedSubsampledPredictorDigest);
+
+  common::Rng validator_rng(8);
+  Fixture validator_fixture = MakeFixture(validator_rng, 1200);
+  PerformanceValidator::Options validator_options;
+  validator_options.predictor.corruptions_per_generator = 8;
+  PerformanceValidator validator(validator_options);
+  ASSERT_TRUE(validator
+                  .Train(*validator_fixture.model, validator_fixture.test,
+                         generators, validator_rng)
+                  .ok());
+  std::ostringstream validator_bytes;
+  ASSERT_TRUE(validator.Save(validator_bytes).ok());
+  EXPECT_EQ(common::Fnv1aHash(validator_bytes.str()),
+            kPinnedFullBatchValidatorDigest);
 }
 
 }  // namespace

@@ -190,5 +190,33 @@ TEST(PerformancePredictorTest, TrainFromStatisticsValidation) {
   EXPECT_DOUBLE_EQ(predictor.test_score(), 0.8);
 }
 
+// Ragged or empty statistics rows used to abort inside Matrix::FromRows.
+TEST(PerformancePredictorTest, TrainFromStatisticsRejectsRaggedRows) {
+  common::Rng rng(9);
+  PerformancePredictor predictor(FastOptions());
+  EXPECT_EQ(predictor
+                .TrainFromStatistics({{1.0, 2.0}, {2.0}, {3.0, 4.0}},
+                                     {0.5, 0.6, 0.7}, 0.8, rng)
+                .code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(predictor.TrainFromStatistics({{}, {}}, {0.5, 0.6}, 0.8, rng)
+                .code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_FALSE(predictor.trained());
+}
+
+// A null generator used to abort Train with a BBV_CHECK.
+TEST(PerformancePredictorTest, TrainRejectsNullGenerator) {
+  common::Rng rng(10);
+  Fixture fixture = MakeFixture(rng, 1000);
+  PerformancePredictor predictor(FastOptions());
+  const errors::MissingValues missing;
+  EXPECT_EQ(predictor.Train(*fixture.model, fixture.test, {&missing, nullptr},
+                            rng)
+                .code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_FALSE(predictor.trained());
+}
+
 }  // namespace
 }  // namespace bbv::core

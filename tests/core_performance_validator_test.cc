@@ -39,7 +39,7 @@ Fixture MakeFixture(common::Rng& rng) {
 PerformanceValidator::Options FastOptions(double threshold = 0.05) {
   PerformanceValidator::Options options;
   options.threshold = threshold;
-  options.corruptions_per_generator = 60;
+  options.predictor.corruptions_per_generator = 60;
   return options;
 }
 
@@ -101,6 +101,21 @@ TEST(PerformanceValidatorTest, TrainValidation) {
       validator.Train(*fixture.model, data::Dataset(), generators, rng).ok());
 }
 
+// A null generator used to abort Train with a BBV_CHECK.
+TEST(PerformanceValidatorTest, TrainRejectsEmptyOrNullGenerators) {
+  common::Rng rng(9);
+  Fixture fixture = MakeFixture(rng);
+  PerformanceValidator validator(FastOptions());
+  const errors::MissingValues missing;
+  EXPECT_EQ(validator.Train(*fixture.model, fixture.test, {}, rng).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(validator.Train(*fixture.model, fixture.test, {nullptr, &missing},
+                            rng)
+                .code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_FALSE(validator.trained());
+}
+
 TEST(PerformanceValidatorTest, ThresholdIsExposed) {
   PerformanceValidator validator(FastOptions(0.1));
   EXPECT_DOUBLE_EQ(validator.threshold(), 0.1);
@@ -113,7 +128,7 @@ TEST(PerformanceValidatorTest, DegenerateTrainingFallsBackToPredictor) {
   common::Rng rng(4);
   Fixture fixture = MakeFixture(rng);
   PerformanceValidator::Options options = FastOptions();
-  options.corruptions_per_generator = 20;
+  options.predictor.corruptions_per_generator = 20;
   PerformanceValidator validator(options);
   const errors::MissingValues noop({}, errors::FractionRange{0.0, 0.0});
   std::vector<const errors::ErrorGen*> generators = {&noop};
@@ -161,7 +176,7 @@ TEST(PerformanceValidatorTest, AblationOptionsStillWork) {
   for (const bool use_ks : {true, false}) {
     for (const bool use_predictor : {true, false}) {
       PerformanceValidator::Options options = FastOptions();
-      options.corruptions_per_generator = 30;
+      options.predictor.corruptions_per_generator = 30;
       options.use_ks_features = use_ks;
       options.use_predictor_feature = use_predictor;
       PerformanceValidator validator(options);

@@ -91,7 +91,7 @@ TEST(IntegrationSmokeTest, ValidatorRaisesAlarmsOnSevereCorruption) {
 
   core::PerformanceValidator::Options options;
   options.threshold = 0.10;
-  options.corruptions_per_generator = 40;
+  options.predictor.corruptions_per_generator = 40;
   core::PerformanceValidator validator(options);
   ASSERT_TRUE(
       validator.Train(model, train_test.second, generators, rng).ok());

@@ -369,15 +369,18 @@ void WriteStump(common::BinaryWriter& writer, int32_t feature,
 }
 
 /// Save bytes of a predictor trained on synthetic two-class statistics
-/// (feature dimension 2 * |DefaultPercentilePoints()|); `calibrated` adds
-/// quantile-forest conformal calibration.
-std::string SmallPredictorBytes(bool calibrated = false) {
+/// over the percentile grid `points` (DefaultPercentilePoints() when empty;
+/// feature dimension 2 * |grid|); `calibrated` adds quantile-forest
+/// conformal calibration.
+std::string SmallPredictorBytes(bool calibrated = false,
+                                std::vector<double> points = {}) {
   core::PerformancePredictor::Options options;
   options.tree_count_grid = {3};
   options.conformal_calibration = calibrated;
   options.conformal_mode = core::ConformalCalibrator::Mode::kQuantileForest;
+  options.percentile_points = std::move(points);
   core::PerformancePredictor predictor(options);
-  const size_t width = 2 * core::DefaultPercentilePoints().size();
+  const size_t width = 2 * predictor.percentile_points().size();
   common::Rng rng(5);
   std::vector<std::vector<double>> statistics(30, std::vector<double>(width));
   std::vector<double> scores(statistics.size());
@@ -452,7 +455,7 @@ TEST(ValidatorSerializationTest, DecisionsSurviveRoundTrip) {
 
   core::PerformanceValidator::Options options;
   options.threshold = 0.05;
-  options.corruptions_per_generator = 40;
+  options.predictor.corruptions_per_generator = 40;
   core::PerformanceValidator validator(options);
   const errors::MissingValues missing;
   std::vector<const errors::ErrorGen*> generators = {&missing};
@@ -487,8 +490,11 @@ TEST(ValidatorSerializationTest, GarbageInputRejected) {
   EXPECT_FALSE(core::PerformanceValidator::Load(buffer).ok());
 }
 
-/// A validator archive over a 3-point grid with KS and predictor features
-/// and two retained output columns, so its decision features are
+/// The percentile grid of the crafted validator archives below.
+const std::vector<double> kStumpValidatorGrid = {25.0, 50.0, 75.0};
+
+/// A validator archive over kStumpValidatorGrid with KS and predictor
+/// features and two retained output columns, so its decision features are
 /// 2 * 3 + 2 * 2 + 2 = 12 wide. The decision model is a two-class GBT of
 /// stumps splitting on `feature`.
 std::string ValidatorWithStumpsOn(const std::string& predictor_bytes,
@@ -498,7 +504,7 @@ std::string ValidatorWithStumpsOn(const std::string& predictor_bytes,
   writer.WriteMagic("BBVPV", 1);
   writer.WriteDouble(0.05);  // threshold
   writer.WriteInt32(static_cast<int32_t>(core::ScoreMetric::kAccuracy));
-  writer.WriteDoubleVector({25.0, 50.0, 75.0});
+  writer.WriteDoubleVector(kStumpValidatorGrid);
   writer.WriteInt32(1);       // KS features
   writer.WriteInt32(1);       // predictor feature
   writer.WriteDouble(0.9);    // test score
@@ -521,7 +527,7 @@ std::string ValidatorWithStumpsOn(const std::string& predictor_bytes,
 }
 
 TEST(ValidatorSerializationTest, LoadRejectsDecisionFeatureBeyondWidth) {
-  const std::string predictor = SmallPredictorBytes();
+  const std::string predictor = SmallPredictorBytes(false, kStumpValidatorGrid);
   std::istringstream beyond(ValidatorWithStumpsOn(predictor, 12));
   EXPECT_EQ(core::PerformanceValidator::Load(beyond).status().code(),
             common::StatusCode::kInvalidArgument);
@@ -533,6 +539,65 @@ TEST(ValidatorSerializationTest, LoadRejectsDecisionFeatureBeyondWidth) {
   ASSERT_TRUE(validator.ok()) << validator.status().ToString();
   const linalg::Matrix batch(3, 2, {0.8, 0.2, 0.4, 0.6, 0.7, 0.3});
   EXPECT_TRUE(validator->ValidateFromProba(batch).ok());
+}
+
+// A batch the decision features cannot be built from used to abort (no
+// rows) or read past the retained outputs (more class columns).
+TEST(ValidatorSerializationTest, ValidateRejectsMalformedBatches) {
+  std::istringstream in(ValidatorWithStumpsOn(
+      SmallPredictorBytes(false, kStumpValidatorGrid), 11));
+  const auto validator = core::PerformanceValidator::Load(in);
+  ASSERT_TRUE(validator.ok()) << validator.status().ToString();
+  const linalg::Matrix three_classes(2, 3, {0.2, 0.3, 0.5, 0.6, 0.3, 0.1});
+  EXPECT_EQ(validator->ValidateFromProba(three_classes).status().code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(validator->ValidateFromProba(linalg::Matrix(0, 2)).status().code(),
+            common::StatusCode::kInvalidArgument);
+}
+
+// The validator's percentile features and its predictor's estimate must be
+// built on one grid; an archive whose header and embedded predictor
+// disagree is corrupt.
+TEST(ValidatorSerializationTest, LoadRejectsPredictorOnAnotherGrid) {
+  std::istringstream in(ValidatorWithStumpsOn(SmallPredictorBytes(), 11));
+  EXPECT_EQ(core::PerformanceValidator::Load(in).status().code(),
+            common::StatusCode::kInvalidArgument);
+}
+
+// A validator on a non-default grid used to save bytes its own Load
+// refused: the internal predictor was trained on the custom grid's
+// statistics but kept the default grid, so its archive failed the feature
+// dimension check (and every in-process estimate failed silently).
+TEST(ValidatorSerializationTest, CustomGridDecisionsSurviveRoundTrip) {
+  common::Rng rng(6);
+  data::Dataset dataset = datasets::MakeIncome(1500, rng);
+  auto [source, serving] = data::TrainTestSplit(dataset, 0.7, rng);
+  auto [train, test] = data::TrainTestSplit(source, 0.7, rng);
+  ml::BlackBoxModel model(std::make_unique<ml::SgdLogisticRegression>());
+  ASSERT_TRUE(model.Train(train, rng).ok());
+
+  core::PerformanceValidator::Options options;
+  options.predictor.percentile_points = {10.0, 50.0, 90.0};
+  options.predictor.corruptions_per_generator = 30;
+  core::PerformanceValidator validator(options);
+  const errors::MissingValues missing;
+  ASSERT_TRUE(validator.Train(model, test, {&missing}, rng).ok());
+
+  std::stringstream buffer;
+  ASSERT_TRUE(validator.Save(buffer).ok());
+  const auto restored = core::PerformanceValidator::Load(buffer);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  for (int round = 0; round < 5; ++round) {
+    common::Rng corrupt_rng(200 + round);
+    const auto corrupted =
+        missing.Corrupt(serving.features, corrupt_rng).ValueOrDie();
+    const auto proba = model.PredictProba(corrupted).ValueOrDie();
+    const auto before = validator.ValidateFromProba(proba);
+    const auto after = restored->ValidateFromProba(proba);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(*before, *after);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -881,6 +946,25 @@ TEST(MutationSweepTest, PerformancePredictor) {
       // scored, never a crash.
       static_cast<void>(monitor.ObserveWindow(batch));
     }
+    return true;
+  });
+}
+
+// Every deployment of a saved validator runs PerformanceValidator::Load and
+// then decides on serving batches with what it returned. The artifact is
+// the crafted non-degenerate one above (header, retained outputs, a
+// calibrated predictor and a two-stump GBT).
+TEST(MutationSweepTest, PerformanceValidator) {
+  const std::string bytes = ValidatorWithStumpsOn(
+      SmallPredictorBytes(/*calibrated=*/true, kStumpValidatorGrid), 11);
+  ASSERT_LE(bytes.size(), 4096u);
+  const linalg::Matrix batch = ProbeProbabilities();
+  SweepMutations(bytes, [&](const std::string& mutated) {
+    std::istringstream in(mutated);
+    const auto loaded = core::PerformanceValidator::Load(in);
+    if (!loaded.ok()) return false;
+    // Accepted or rejected with a Status, never a crash.
+    static_cast<void>(loaded->ValidateFromProba(batch));
     return true;
   });
 }
