@@ -436,18 +436,25 @@ common::Result<ScoreEstimate> PerformancePredictor::EstimateScoreFromProba(
   if (!trained_) {
     return common::Status::FailedPrecondition("EstimateScore before Train");
   }
-  common::telemetry::IncrementCounter("predictor.estimate.calls");
-  common::telemetry::IncrementCounter("predictor.estimate.rows",
-                                      probabilities.rows());
-  const std::vector<double> statistics =
-      PredictionStatistics(probabilities, options_.percentile_points);
-  if (statistics.size() != feature_dimension_) {
+  // Shape first: PredictionStatistics requires rows, and a batch with the
+  // wrong class count is rejected before paying for its statistics.
+  if (probabilities.rows() == 0) {
+    return common::Status::InvalidArgument(
+        "serving batch has no rows to estimate a score from");
+  }
+  if (probabilities.cols() * options_.percentile_points.size() !=
+      feature_dimension_) {
     return common::Status::InvalidArgument(
         "serving batch has " + std::to_string(probabilities.cols()) +
         " classes but the predictor was trained on " +
         std::to_string(feature_dimension_ /
                        options_.percentile_points.size()));
   }
+  common::telemetry::IncrementCounter("predictor.estimate.calls");
+  common::telemetry::IncrementCounter("predictor.estimate.rows",
+                                      probabilities.rows());
+  const std::vector<double> statistics =
+      PredictionStatistics(probabilities, options_.percentile_points);
   const double point = regressor_.PredictRow(statistics.data());
   return IntervalFor(point, statistics.data(), coverage_level);
 }

@@ -1,6 +1,7 @@
 #include "serve/validator_service.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <span>
 #include <sstream>
 #include <string>
@@ -209,43 +210,45 @@ std::vector<ValidatorService::ScoreResponse> ValidatorService::Flush() {
 
   // Group the drained queue by tenant, preserving submission order within
   // each tenant; `order` remembers first-appearance order so the fan-out
-  // below and the LRU stamps are deterministic.
-  std::map<std::string, std::vector<size_t>> by_tenant;
-  std::vector<std::string> order;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    responses[i].request_id = ops[i].request_id;
-    responses[i].model_id = ops[i].model_id;
-    responses[i].is_swap = ops[i].is_swap;
-    auto [it, inserted] = by_tenant.try_emplace(ops[i].model_id);
-    if (inserted) order.push_back(ops[i].model_id);
-    it->second.push_back(i);
-  }
-
-  // Resolve tenants and rehydrate serially (rehydration mutates the
-  // registry and the order of rehydrations must not depend on BBV_THREADS).
+  // below and the LRU stamps are deterministic. Then resolve tenants and
+  // rehydrate serially (rehydration mutates the registry and the order of
+  // rehydrations must not depend on BBV_THREADS).
   struct TenantWork {
     Tenant* tenant = nullptr;
     const std::vector<size_t>* op_indices = nullptr;
   };
+  std::map<std::string, std::vector<size_t>> by_tenant;
   std::vector<TenantWork> work;
-  work.reserve(order.size());
-  for (const std::string& model_id : order) {
-    const std::vector<size_t>& op_indices = by_tenant.at(model_id);
-    const auto it = tenants_.find(model_id);
-    common::Status resolve = common::Status::OK();
-    if (it == tenants_.end()) {
-      resolve = common::Status::NotFound("unknown tenant '" + model_id + "'");
-    } else {
-      resolve = EnsureResident(it->second);
+  {
+    const common::telemetry::TraceSpan resolve_span("serve.service.resolve");
+    std::vector<std::string> order;
+    for (size_t i = 0; i < ops.size(); ++i) {
+      responses[i].request_id = ops[i].request_id;
+      responses[i].model_id = ops[i].model_id;
+      responses[i].is_swap = ops[i].is_swap;
+      auto [it, inserted] = by_tenant.try_emplace(ops[i].model_id);
+      if (inserted) order.push_back(ops[i].model_id);
+      it->second.push_back(i);
     }
-    if (!resolve.ok()) {
-      for (const size_t i : op_indices) responses[i].status = resolve;
-      common::telemetry::IncrementCounter("serve.service.request_errors",
-                                          op_indices.size());
-      continue;
+    work.reserve(order.size());
+    for (const std::string& model_id : order) {
+      const std::vector<size_t>& op_indices = by_tenant.at(model_id);
+      const auto it = tenants_.find(model_id);
+      common::Status resolve = common::Status::OK();
+      if (it == tenants_.end()) {
+        resolve = common::Status::NotFound("unknown tenant '" + model_id + "'");
+      } else {
+        resolve = EnsureResident(it->second);
+      }
+      if (!resolve.ok()) {
+        for (const size_t i : op_indices) responses[i].status = resolve;
+        common::telemetry::IncrementCounter("serve.service.request_errors",
+                                            op_indices.size());
+        continue;
+      }
+      it->second.last_touch = ++touch_clock_;
+      work.push_back({&it->second, &op_indices});
     }
-    it->second.last_touch = ++touch_clock_;
-    work.push_back({&it->second, &op_indices});
   }
 
   // Fan the tenants out over the shared pool: each task owns one tenant's
@@ -374,22 +377,26 @@ common::Status ValidatorService::EnsureResident(Tenant& tenant) {
 
 void ValidatorService::EnforceResidencyCap() {
   if (options_.max_resident_tenants == 0) return;
-  while (true) {
-    size_t resident = 0;
-    std::map<std::string, Tenant>::iterator coldest = tenants_.end();
-    for (auto it = tenants_.begin(); it != tenants_.end(); ++it) {
-      if (!it->second.scorer.has_value()) continue;
-      ++resident;
-      if (coldest == tenants_.end() ||
-          it->second.last_touch < coldest->second.last_touch) {
-        coldest = it;
-      }
+  const common::telemetry::TraceSpan span("serve.service.evict");
+  // One registry scan per call. Stamps are unique (++touch_clock_), so
+  // evicting the `excess` oldest in ascending stamp order picks the same
+  // victims, in the same order, as evicting the coldest one at a time.
+  std::vector<std::pair<uint64_t, Tenant*>> resident;
+  for (auto& [model_id, tenant] : tenants_) {
+    if (tenant.scorer.has_value()) {
+      resident.emplace_back(tenant.last_touch, &tenant);
     }
-    if (resident <= options_.max_resident_tenants ||
-        coldest == tenants_.end()) {
-      return;
-    }
-    Tenant& tenant = coldest->second;
+  }
+  if (resident.size() <= options_.max_resident_tenants) return;
+  const auto excess = static_cast<std::ptrdiff_t>(
+      resident.size() - options_.max_resident_tenants);
+  std::partial_sort(resident.begin(), resident.begin() + excess,
+                    resident.end(), [](const auto& a, const auto& b) {
+                      return a.first < b.first;
+                    });
+  for (auto victim = resident.begin(); victim != resident.begin() + excess;
+       ++victim) {
+    Tenant& tenant = *victim->second;
     std::ostringstream out;
     const common::Status saved = tenant.scorer->SaveState(out);
     if (!saved.ok()) {

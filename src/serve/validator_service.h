@@ -55,7 +55,10 @@ namespace bbv::serve {
 ///    scorer is destroyed; the next request for the tenant rehydrates it
 ///    through LoadState. The round-trip is byte-identical, so eviction is
 ///    invisible to scoring results. The monitor window is dropped on
-///    eviction (the same epoch-boundary contract as a hot-swap).
+///    eviction (the same epoch-boundary contract as a hot-swap). Each
+///    eviction or rehydration costs O(occupied sketch cells), and enforcing
+///    the cap costs one tenant scan per flush plus a partial sort of the
+///    victims.
 ///
 /// Error contract: a malformed request (unknown tenant, class-count
 /// mismatch, non-finite probabilities, corrupt state) fails only its own
@@ -228,7 +231,8 @@ class ValidatorService {
   /// store if needed.
   common::Status EnsureResident(Tenant& tenant) BBV_REQUIRES(mutex_);
   /// Serializes + drops scorers of least-recently-used tenants until the
-  /// residency cap holds.
+  /// residency cap holds: one registry scan, then the victims in ascending
+  /// last_touch order, stopping at the first failed SaveState.
   void EnforceResidencyCap() BBV_REQUIRES(mutex_);
   /// Scores `ops` (all for `tenant`, in submission order) into `responses`;
   /// contiguous scoring runs share one kernel batch call.

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <istream>
 #include <limits>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 
@@ -19,6 +23,15 @@ constexpr uint32_t kSketchVersion = 1;
 constexpr char kBankMagic[] = "BBVQB";
 constexpr uint32_t kBankVersion = 1;
 constexpr int kMaxResolutionBits = 24;
+/// Saved sketch header: magic, version, resolution, lo, hi, count and the
+/// number of (cell, weight) pairs that follow.
+constexpr size_t kSaveHeaderBytes = sizeof(kSketchMagic) - 1 +
+                                    sizeof(uint32_t) + sizeof(int32_t) +
+                                    2 * sizeof(double) + 2 * sizeof(uint64_t);
+/// One saved (cell, weight) pair.
+constexpr size_t kPairBytes = 2 * sizeof(uint64_t);
+/// Pairs per read while loading.
+constexpr uint64_t kLoadChunkPairs = 64;
 
 bool GridsMatch(const QuantileSketch::Options& a,
                 const QuantileSketch::Options& b) {
@@ -64,6 +77,8 @@ double QuantileSketch::CellValue(size_t index) const {
 
 void QuantileSketch::Add(double value, uint64_t weight) {
   BBV_CHECK(std::isfinite(value)) << "QuantileSketch::Add of NaN/Inf";
+  BBV_CHECK(weight <= std::numeric_limits<uint64_t>::max() - count_)
+      << "QuantileSketch::Add would overflow the uint64 count";
   AddUnchecked(value, weight);
 }
 
@@ -88,6 +103,12 @@ common::Status QuantileSketch::Merge(const QuantileSketch& other) {
     return common::Status::InvalidArgument(
         "QuantileSketch::Merge requires identical grids (resolution and "
         "domain)");
+  }
+  // No cell or block sum exceeds count(), so a count that fits keeps every
+  // sum exact.
+  if (other.count_ > std::numeric_limits<uint64_t>::max() - count_) {
+    return common::Status::InvalidArgument(
+        "QuantileSketch::Merge would overflow the uint64 count");
   }
   // Same grid, same layout: cells and block sums add element-wise.
   for (size_t i = 0; i < counts_.size(); ++i) {
@@ -189,19 +210,45 @@ double QuantileSketch::CellWidth() const {
 }
 
 common::Status QuantileSketch::Save(std::ostream& out) const {
-  common::BinaryWriter writer(out);
-  writer.WriteMagic(kSketchMagic, kSketchVersion);
-  writer.WriteInt32(options_.resolution_bits);
-  writer.WriteDouble(options_.lo);
-  writer.WriteDouble(options_.hi);
-  writer.WriteUint64(count_);
-  writer.WriteUint64(num_nonzero_cells());
-  for (size_t cell = 0; cell < num_cells_; ++cell) {
-    if (counts_[cell] == 0) continue;
-    writer.WriteUint64(cell);
-    writer.WriteUint64(counts_[cell]);
+  // One pass over the occupied blocks encodes the header and every
+  // (cell, weight) pair into one buffer, and one write hands it over. The
+  // nonzero count is known only after the pass, so it is back-patched.
+  // Every nonzero cell holds at least one of count() values, and Add and
+  // Merge refuse to overflow count(), so min(count(), cells) pairs fit.
+  const size_t max_pairs =
+      static_cast<size_t>(std::min<uint64_t>(count_, num_cells_));
+  const auto buffer = std::make_unique_for_overwrite<char[]>(
+      kSaveHeaderBytes + kPairBytes * max_pairs);
+  char* cursor = buffer.get();
+  const auto put = [&cursor](const auto value) {
+    std::memcpy(cursor, &value, sizeof(value));
+    cursor += sizeof(value);
+  };
+  std::memcpy(cursor, kSketchMagic, sizeof(kSketchMagic) - 1);
+  cursor += sizeof(kSketchMagic) - 1;
+  put(kSketchVersion);
+  put(int32_t{options_.resolution_bits});
+  put(options_.lo);
+  put(options_.hi);
+  put(count_);
+  char* const nonzero_slot = cursor;
+  put(uint64_t{0});
+  uint64_t nonzero = 0;
+  for (size_t first = 0; first < num_cells_; first += kBlockCells) {
+    if (BlockSum(first) == 0) continue;
+    const size_t end = std::min(first + kBlockCells, num_cells_);
+    for (size_t cell = first; cell < end; ++cell) {
+      if (counts_[cell] == 0) continue;
+      put(uint64_t{cell});
+      put(counts_[cell]);
+      ++nonzero;
+    }
   }
-  return writer.status();
+  BBV_DCHECK(nonzero <= max_pairs);
+  std::memcpy(nonzero_slot, &nonzero, sizeof(nonzero));
+  out.write(buffer.get(), cursor - buffer.get());
+  if (!out) return common::Status::IoError("serialization stream failed");
+  return common::Status::OK();
 }
 
 common::Result<QuantileSketch> QuantileSketch::Load(std::istream& in) {
@@ -227,27 +274,39 @@ common::Result<QuantileSketch> QuantileSketch::Load(std::istream& in) {
   }
   // Canonical streams list cells in strictly ascending order. A repeated or
   // out-of-order cell would make the cells disagree with `total` (and with
-  // the block sums), so Quantiles would read past the mass.
+  // the block sums), so Quantiles would read past the mass. Pairs arrive in
+  // chunks through one fixed buffer, so a corrupt count allocates nothing
+  // and fails where the stream ends. The whole pairs of a short chunk are
+  // checked before the truncation is reported, so a stream cut after a bad
+  // pair still reports that pair.
+  uint64_t chunk[2 * kLoadChunkPairs] = {};
   uint64_t sum = 0;
   uint64_t previous_cell = 0;
-  for (uint64_t i = 0; i < nonzero; ++i) {
-    BBV_ASSIGN_OR_RETURN(uint64_t cell, reader.ReadUint64());
-    BBV_ASSIGN_OR_RETURN(uint64_t weight, reader.ReadUint64());
-    if (cell >= sketch.num_cells_ || weight == 0) {
-      return common::Status::InvalidArgument("corrupt sketch cell entry");
+  for (uint64_t done = 0; done < nonzero;) {
+    const uint64_t want = std::min<uint64_t>(nonzero - done, kLoadChunkPairs);
+    in.read(reinterpret_cast<char*>(chunk),
+            static_cast<std::streamsize>(want * kPairBytes));
+    const uint64_t got = static_cast<uint64_t>(in.gcount()) / kPairBytes;
+    for (uint64_t j = 0; j < got; ++j, ++done) {
+      const uint64_t cell = chunk[2 * j];
+      const uint64_t weight = chunk[2 * j + 1];
+      if (cell >= sketch.num_cells_ || weight == 0) {
+        return common::Status::InvalidArgument("corrupt sketch cell entry");
+      }
+      if (done > 0 && cell <= previous_cell) {
+        return common::Status::InvalidArgument(
+            "sketch cells are not in strictly ascending order");
+      }
+      if (weight > std::numeric_limits<uint64_t>::max() - sum) {
+        return common::Status::InvalidArgument(
+            "sketch cell weights overflow the total");
+      }
+      previous_cell = cell;
+      sketch.counts_[cell] = weight;
+      sketch.counts_[sketch.num_cells_ + cell / kBlockCells] += weight;
+      sum += weight;
     }
-    if (i > 0 && cell <= previous_cell) {
-      return common::Status::InvalidArgument(
-          "sketch cells are not in strictly ascending order");
-    }
-    if (weight > std::numeric_limits<uint64_t>::max() - sum) {
-      return common::Status::InvalidArgument(
-          "sketch cell weights overflow the total");
-    }
-    previous_cell = cell;
-    sketch.counts_[cell] = weight;
-    sketch.counts_[sketch.num_cells_ + cell / kBlockCells] += weight;
-    sum += weight;
+    if (got < want) return common::Status::IoError("truncated stream");
   }
   if (sum != total) {
     return common::Status::InvalidArgument(

@@ -68,11 +68,13 @@ class QuantileSketch {
 
   /// Records `weight` occurrences of `value` (clamped to [lo, hi];
   /// non-finite values are rejected with a BBV_CHECK —
-  /// QuantileSketchBank::Observe returns a Status for them instead).
+  /// QuantileSketchBank::Observe returns a Status for them instead). A
+  /// weight that would overflow the uint64 count() is a BBV_CHECK failure.
   void Add(double value, uint64_t weight = 1);
 
   /// Adds the other sketch's multiset into this one. The grids must match
-  /// exactly (same resolution and domain); merge is commutative and
+  /// exactly (same resolution and domain), and the summed count() must fit
+  /// in uint64; a rejected merge changes nothing. Merge is commutative and
   /// associative by construction.
   common::Status Merge(const QuantileSketch& other);
 
@@ -119,7 +121,10 @@ class QuantileSketch {
   /// Canonical serialization: equal multisets produce identical bytes
   /// regardless of Add/Merge order. Sparse (index, weight) pairs in strictly
   /// ascending cell order; the block sums are derived state and never
-  /// written. Load rejects any other cell order.
+  /// written. Save costs O(occupied blocks), not O(grid): it steps over
+  /// empty 64-cell blocks and hands the stream one buffer in one write.
+  /// Load reads the pairs in fixed-size chunks into one stack buffer and
+  /// rejects any other cell order.
   common::Status Save(std::ostream& out) const;
   static common::Result<QuantileSketch> Load(std::istream& in);
 

@@ -4,7 +4,11 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/prediction_statistics.h"
 #include "datasets/tabular.h"
 #include "errors/missing_values.h"
 #include "errors/numeric_errors.h"
@@ -216,6 +220,75 @@ TEST(PerformancePredictorTest, TrainRejectsNullGenerator) {
                 .code(),
             common::StatusCode::kInvalidArgument);
   EXPECT_FALSE(predictor.trained());
+}
+
+/// A black box that answers every frame with a fixed probability matrix.
+class FixedProbaBox : public ml::BlackBox {
+ public:
+  explicit FixedProbaBox(linalg::Matrix probabilities)
+      : probabilities_(std::move(probabilities)) {}
+  common::Result<linalg::Matrix> PredictProba(
+      const data::DataFrame& /*frame*/) const override {
+    return probabilities_;
+  }
+  int num_classes() const override {
+    return static_cast<int>(probabilities_.cols());
+  }
+  std::string Name() const override { return "fixed"; }
+
+ private:
+  linalg::Matrix probabilities_;
+};
+
+// A zero-row batch used to abort the process inside PredictionStatistics.
+TEST(PerformancePredictorTest, EstimateRejectsEmptyAndMisshapenBatches) {
+  common::Rng rng(11);
+  PerformancePredictor::Options options = FastOptions();
+  options.percentile_points = {0.0, 50.0, 100.0};
+  PerformancePredictor predictor(options);
+  std::vector<std::vector<double>> statistics;
+  std::vector<double> scores;
+  for (int level = 0; level <= 10; ++level) {
+    const double p = 0.5 + 0.045 * level;
+    const linalg::Matrix batch =
+        linalg::Matrix::FromRows({{p, 1.0 - p}, {1.0 - p, p}, {0.5, 0.5}});
+    statistics.push_back(
+        PredictionStatistics(batch, options.percentile_points));
+    scores.push_back(p);
+  }
+  ASSERT_TRUE(predictor.TrainFromStatistics(statistics, scores, 0.9, rng).ok());
+
+  EXPECT_EQ(predictor.EstimateScoreFromProba(linalg::Matrix(0, 2)).status()
+                .code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(predictor.EstimateScoreFromProba(linalg::Matrix(0, 3)).status()
+                .code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(predictor
+                .EstimateScoreFromProba(linalg::Matrix::FromRows(
+                    {{0.2, 0.3, 0.5}, {0.1, 0.1, 0.8}}))
+                .status()
+                .code(),
+            common::StatusCode::kInvalidArgument);
+
+  const FixedProbaBox empty_box{linalg::Matrix(0, 2)};
+  EXPECT_EQ(predictor.EstimateScore(empty_box, data::DataFrame()).status()
+                .code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(predictor.ProbeEstimationError(empty_box, data::DataFrame(), {})
+                .status()
+                .code(),
+            common::StatusCode::kInvalidArgument);
+
+  // A well-formed batch through the same surfaces still scores.
+  const linalg::Matrix batch =
+      linalg::Matrix::FromRows({{0.9, 0.1}, {0.2, 0.8}, {0.6, 0.4}});
+  const auto direct = predictor.EstimateScoreFromProba(batch);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  const auto through_box =
+      predictor.EstimateScore(FixedProbaBox(batch), data::DataFrame());
+  ASSERT_TRUE(through_box.ok()) << through_box.status().ToString();
+  EXPECT_EQ(*through_box, *direct);
 }
 
 }  // namespace

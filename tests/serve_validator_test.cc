@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -331,6 +335,205 @@ TEST(ValidatorServiceTest, EvictionAndRehydrationAreByteInvisible) {
   ASSERT_TRUE(replayed.ok());
   EXPECT_EQ(*estimate, *replayed);
   EXPECT_TRUE(service.GetTenantInfo("a")->resident);
+}
+
+/// Reference LRU residency model: the service must evict exactly the
+/// tenants this picks. Every use stamps a fresh clock value; enforcing the
+/// cap evicts the resident tenant with the oldest stamp until it holds.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t cap) : cap_(cap) {}
+
+  void Create(const std::string& id) {
+    Touch(id);
+    Enforce();
+  }
+  void Remove(const std::string& id) {
+    stamps_.erase(id);
+    resident_.erase(id);
+  }
+  /// A flush: touch the tenants in first-appearance order, then enforce.
+  void Flush(const std::vector<std::string>& first_appearance) {
+    for (const std::string& id : first_appearance) Touch(id);
+    Enforce();
+  }
+  bool resident(const std::string& id) const { return resident_.contains(id); }
+  size_t num_resident() const { return resident_.size(); }
+
+ private:
+  void Touch(const std::string& id) {
+    stamps_[id] = ++clock_;
+    resident_.insert(id);
+  }
+  void Enforce() {
+    while (resident_.size() > cap_) {
+      std::string coldest;
+      for (const std::string& id : resident_) {
+        if (coldest.empty() || stamps_.at(id) < stamps_.at(coldest)) {
+          coldest = id;
+        }
+      }
+      resident_.erase(coldest);
+    }
+  }
+
+  size_t cap_;
+  uint64_t clock_ = 0;
+  std::map<std::string, uint64_t> stamps_;
+  std::set<std::string> resident_;
+};
+
+TEST(ValidatorServiceTest, EvictionOrderMatchesReferenceLru) {
+  auto predictor = TrainSharedPredictor(48);
+  constexpr size_t kCap = 3;
+  constexpr size_t kTenants = 8;
+  ValidatorService::Options options;
+  options.max_resident_tenants = kCap;
+  ValidatorService service(options);
+  ReferenceLru lru(kCap);
+  std::vector<std::string> ids;
+  std::vector<std::vector<linalg::Matrix>> streams;
+  for (size_t t = 0; t < kTenants; ++t) {
+    ids.push_back(std::to_string(t));
+    ids.back().insert(0, 1, 't');
+    streams.push_back(TenantStream(t, 6));
+  }
+  std::vector<bool> registered(kTenants, false);
+  std::vector<size_t> submitted(kTenants, 0);
+  std::vector<std::vector<core::ScoreEstimate>> estimates(kTenants);
+
+  const auto expect_residency = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(service.num_resident(), lru.num_resident());
+    for (size_t t = 0; t < kTenants; ++t) {
+      if (!registered[t]) continue;
+      const auto info = service.GetTenantInfo(ids[t]);
+      ASSERT_TRUE(info.ok());
+      EXPECT_EQ(info->resident, lru.resident(ids[t])) << ids[t];
+    }
+  };
+  const auto create = [&](size_t t) {
+    ASSERT_TRUE(service.CreateTenant(ids[t], predictor).ok());
+    registered[t] = true;
+    lru.Create(ids[t]);
+    std::string step = "create ";
+    step += ids[t];
+    expect_residency(step);
+  };
+  // Submits the next batch of each listed tenant (repeats allowed) in
+  // order, flushes once and records every estimate.
+  const auto flush = [&](const std::vector<size_t>& tenants) {
+    std::vector<std::string> first_appearance;
+    std::vector<size_t> owners;
+    for (const size_t t : tenants) {
+      const std::string& id = ids[t];
+      if (std::find(first_appearance.begin(), first_appearance.end(), id) ==
+          first_appearance.end()) {
+        first_appearance.push_back(id);
+      }
+      service.Submit(id, streams[t][submitted[t]++]);
+      owners.push_back(t);
+    }
+    const auto responses = service.Flush();
+    ASSERT_EQ(responses.size(), owners.size());
+    for (size_t i = 0; i < responses.size(); ++i) {
+      ASSERT_TRUE(responses[i].status.ok()) << responses[i].status.ToString();
+      estimates[owners[i]].push_back(responses[i].estimate);
+    }
+    lru.Flush(first_appearance);
+    std::string step = "flush";
+    for (const std::string& id : first_appearance) {
+      step += ' ';
+      step += id;
+    }
+    expect_residency(step);
+  };
+
+  // Going over the cap through CreateTenant: one victim per create.
+  for (size_t t = 0; t < 7; ++t) create(t);
+  // Five distinct tenants, four of them evicted, in one flush: the call
+  // rehydrates four and then evicts four, the untouched t5 and t6 first,
+  // then the earliest-touched of this flush.
+  flush({2, 0, 4, 2, 1, 3, 0});
+  flush({6, 5});
+  flush({0, 1, 2, 3, 4, 5, 6});
+  // Removing a resident tenant frees its slot: the next create evicts no one.
+  ASSERT_TRUE(service.RemoveTenant(ids[6]).ok());
+  registered[6] = false;
+  lru.Remove(ids[6]);
+  expect_residency("remove t6");
+  create(7);
+  flush({7, 1, 4, 7, 3});
+
+  // Every state, resident or evicted, and every answer equals a standalone
+  // replay of the batches the tenant was sent.
+  for (size_t t = 0; t < kTenants; ++t) {
+    if (!registered[t]) continue;
+    SCOPED_TRACE(ids[t]);
+    const std::vector<linalg::Matrix> sent(
+        streams[t].begin(),
+        streams[t].begin() + static_cast<std::ptrdiff_t>(submitted[t]));
+    EXPECT_EQ(estimates[t], StandaloneEstimates(predictor, sent));
+    auto replay = StreamingScorer::Create(predictor, {});
+    ASSERT_TRUE(replay.ok());
+    for (const auto& batch : sent) ASSERT_TRUE(replay->Ingest(batch).ok());
+    EXPECT_EQ(TenantBytes(service, ids[t]), ScorerBytes(*replay));
+  }
+}
+
+TEST(ValidatorServiceTest, EvictionOrderMatchesReferenceLruOnRandomTraffic) {
+  // Skewed random flushes over many tenants, so most flushes rehydrate and
+  // evict several tenants at once; the resident set must follow the
+  // reference model after every flush.
+  auto predictor = TrainSharedPredictor(49);
+  constexpr size_t kCap = 5;
+  constexpr size_t kTenants = 24;
+  ValidatorService::Options options;
+  options.max_resident_tenants = kCap;
+  ValidatorService service(options);
+  ReferenceLru lru(kCap);
+  std::vector<std::string> ids;
+  for (size_t t = 0; t < kTenants; ++t) {
+    ids.push_back(std::to_string(t));
+    ids.back().insert(0, 1, 'r');
+    ASSERT_TRUE(service.CreateTenant(ids.back(), predictor).ok());
+    lru.Create(ids.back());
+  }
+  common::Rng rng(50);
+  std::vector<std::vector<linalg::Matrix>> sent(kTenants);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<std::string> first_appearance;
+    const int64_t requests = rng.UniformInt(1, 12);
+    for (int64_t r = 0; r < requests; ++r) {
+      // Squaring a uniform draw skews traffic toward low tenant indices.
+      const double u = rng.Uniform();
+      const auto t = std::min(kTenants - 1, static_cast<size_t>(
+                                                u * u * kTenants));
+      if (std::find(first_appearance.begin(), first_appearance.end(),
+                    ids[t]) == first_appearance.end()) {
+        first_appearance.push_back(ids[t]);
+      }
+      sent[t].push_back(RandomProbabilities(8, rng));
+      service.Submit(ids[t], sent[t].back());
+    }
+    for (const auto& response : service.Flush()) {
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    }
+    lru.Flush(first_appearance);
+    ASSERT_EQ(service.num_resident(), lru.num_resident()) << "round " << round;
+    for (const std::string& id : ids) {
+      const auto info = service.GetTenantInfo(id);
+      ASSERT_TRUE(info.ok());
+      ASSERT_EQ(info->resident, lru.resident(id))
+          << id << " after round " << round;
+    }
+  }
+  for (size_t t = 0; t < kTenants; ++t) {
+    auto replay = StreamingScorer::Create(predictor, {});
+    ASSERT_TRUE(replay.ok());
+    for (const auto& batch : sent[t]) ASSERT_TRUE(replay->Ingest(batch).ok());
+    EXPECT_EQ(TenantBytes(service, ids[t]), ScorerBytes(*replay)) << ids[t];
+  }
 }
 
 TEST(ValidatorServiceTest, HotSwapAppliesAtItsQueuePosition) {

@@ -20,6 +20,7 @@
 
 #include "common/rng.h"
 #include "common/serialize.h"
+#include "common/string_util.h"
 #include "core/prediction_statistics.h"
 #include "stats/descriptive.h"
 
@@ -169,6 +170,32 @@ TEST(QuantileSketchTest, MergeRejectsMismatchedGrids) {
   QuantileSketch c(shifted);
   QuantileSketch d;
   EXPECT_FALSE(c.Merge(d).ok());
+}
+
+TEST(QuantileSketchTest, MergeRejectsCountOverflowWithoutChange) {
+  // Two cells in different blocks whose weights sum past uint64 used to
+  // leave count() == 0 over nonzero cells, and Save wrote bytes that Load
+  // rejects. Every cell and block sum is bounded by count(), so refusing
+  // the overflowing count keeps them all exact.
+  const uint64_t half = uint64_t{1} << 63;
+  QuantileSketch a;
+  a.Add(0.1, half);
+  QuantileSketch b;
+  b.Add(0.9, half);
+  const std::string before = SketchBytes(a);
+  EXPECT_EQ(a.Merge(b).code(), common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(SketchBytes(a), before);
+  b.Add(0.9, half - 2);
+  QuantileSketch c;
+  c.Add(0.1);
+  EXPECT_TRUE(c.Merge(b).ok());
+  EXPECT_EQ(c.count(), std::numeric_limits<uint64_t>::max());
+}
+
+TEST(QuantileSketchDeathTest, AddRejectsCountOverflow) {
+  QuantileSketch sketch;
+  sketch.Add(0.1, uint64_t{1} << 63);
+  EXPECT_DEATH(sketch.Add(0.9, uint64_t{1} << 63), "overflow");
 }
 
 TEST(QuantileSketchTest, SaveLoadRoundTripsCanonically) {
@@ -742,6 +769,144 @@ TEST(QuantileSketchBankTest, MemoryIsIndependentOfRowCount) {
   QuantileSketchBank large;
   ASSERT_TRUE(large.Observe(RandomProbabilities(20000, 2, rng)).ok());
   EXPECT_EQ(small.MemoryBytes(), large.MemoryBytes());
+}
+
+// ---------------------------------------------------------------------------
+// Byte-format pins. The sketch and bank bytes are the cold-store and
+// SaveState format, so they must never drift: a hand-spelled stream, fixed
+// digests over the edge shapes (empty, a grid shorter than one block, mass
+// only in the lone last block, banks of two and zero columns), and a
+// field-by-field encoder that every sketch's Save must equal byte for byte.
+// ---------------------------------------------------------------------------
+
+TEST(QuantileSketchFormatTest, TinySketchMatchesHandSpelledBytes) {
+  QuantileSketch::Options options;
+  options.resolution_bits = 2;
+  QuantileSketch sketch(options);
+  sketch.Add(0.5, 2);
+  sketch.Add(1.0);
+  static constexpr char kGolden[] =
+      "BBVQS"
+      "\x01\x00\x00\x00"                  // version 1
+      "\x02\x00\x00\x00"                  // resolution_bits 2
+      "\x00\x00\x00\x00\x00\x00\x00\x00"  // lo = 0.0
+      "\x00\x00\x00\x00\x00\x00\xf0\x3f"  // hi = 1.0
+      "\x03\x00\x00\x00\x00\x00\x00\x00"  // total 3
+      "\x02\x00\x00\x00\x00\x00\x00\x00"  // 2 nonzero cells
+      "\x02\x00\x00\x00\x00\x00\x00\x00"  // cell 2 (value 0.5)
+      "\x02\x00\x00\x00\x00\x00\x00\x00"  //   weight 2
+      "\x04\x00\x00\x00\x00\x00\x00\x00"  // cell 4 (value 1.0)
+      "\x01\x00\x00\x00\x00\x00\x00\x00";  //  weight 1
+  EXPECT_EQ(SketchBytes(sketch), std::string(kGolden, sizeof(kGolden) - 1));
+}
+
+TEST(QuantileSketchFormatTest, SaveDigestsArePinned) {
+  EXPECT_EQ(common::Fnv1aHash(SketchBytes(QuantileSketch())),
+            0xec6343d0b68fd351ULL);
+
+  // resolution_bits = 1: three cells, fewer than one block.
+  QuantileSketch::Options coarse;
+  coarse.resolution_bits = 1;
+  QuantileSketch three_cells(coarse);
+  three_cells.Add(0.0);
+  three_cells.Add(0.3);
+  three_cells.Add(0.5, 3);
+  three_cells.Add(1.0, 2);
+  EXPECT_EQ(common::Fnv1aHash(SketchBytes(three_cells)),
+            0x08ae56989f09f2ccULL);
+
+  // The default 12-bit grid: the last block holds only cell 4096, the
+  // value exactly 1.0 that confident classifiers produce.
+  QuantileSketch last_block;
+  last_block.Add(0.0);
+  last_block.Add(0.25, 2);
+  last_block.Add(0.999);
+  last_block.Add(1.0, 5);
+  EXPECT_EQ(common::Fnv1aHash(SketchBytes(last_block)),
+            0x1e8d9878d22603d2ULL);
+
+  linalg::Matrix probabilities(51, 2);
+  for (size_t i = 0; i < 50; ++i) {
+    const double p = static_cast<double>(i * 37 % 101) / 100.0;
+    probabilities.At(i, 0) = p;
+    probabilities.At(i, 1) = 1.0 - p;
+  }
+  probabilities.At(50, 0) = 1.0;
+  probabilities.At(50, 1) = 0.0;
+  QuantileSketchBank two_columns;
+  ASSERT_TRUE(two_columns.Observe(probabilities).ok());
+  EXPECT_EQ(common::Fnv1aHash(BankBytes(two_columns)),
+            0x126ebf0a3ff2fdeeULL);
+
+  EXPECT_EQ(common::Fnv1aHash(BankBytes(QuantileSketchBank())),
+            0x6fdd929959eb878aULL);
+}
+
+/// The sketch format spelled out field by field from the public state.
+void EncodeSketch(const QuantileSketch& sketch, common::BinaryWriter& writer) {
+  const std::span<const uint64_t> cells = sketch.cell_counts();
+  writer.WriteMagic("BBVQS", 1);
+  writer.WriteInt32(sketch.options().resolution_bits);
+  writer.WriteDouble(sketch.options().lo);
+  writer.WriteDouble(sketch.options().hi);
+  writer.WriteUint64(sketch.count());
+  writer.WriteUint64(static_cast<uint64_t>(
+      std::count_if(cells.begin(), cells.end(),
+                    [](uint64_t weight) { return weight > 0; })));
+  for (size_t cell = 0; cell < cells.size(); ++cell) {
+    if (cells[cell] == 0) continue;
+    writer.WriteUint64(cell);
+    writer.WriteUint64(cells[cell]);
+  }
+}
+
+TEST(QuantileSketchFormatTest, SaveMatchesFieldByFieldEncoding) {
+  common::Rng rng(31);
+  std::vector<QuantileSketch::Options> grids;
+  for (int bits : {1, 2, 5, 6, 7, 12, 13}) {
+    QuantileSketch::Options options;
+    options.resolution_bits = bits;
+    grids.push_back(options);
+  }
+  QuantileSketch::Options shifted;
+  shifted.lo = -2.5;
+  shifted.hi = 3.0;
+  grids.push_back(shifted);
+  for (const QuantileSketch::Options& options : grids) {
+    std::vector<std::pair<std::string, QuantileSketch>> sketches =
+        OracleSketches(options, rng);
+    sketches.emplace_back("empty", QuantileSketch(options));
+    QuantileSketch heavy(options);
+    heavy.Add(options.lo, std::numeric_limits<uint64_t>::max() / 4);
+    heavy.Add(options.hi, std::numeric_limits<uint64_t>::max() / 4);
+    sketches.emplace_back("heavy", std::move(heavy));
+    for (const auto& [name, sketch] : sketches) {
+      SCOPED_TRACE(name + " bits=" + std::to_string(options.resolution_bits));
+      std::ostringstream want;
+      common::BinaryWriter writer(want);
+      EncodeSketch(sketch, writer);
+      ASSERT_TRUE(writer.status().ok());
+      EXPECT_EQ(SketchBytes(sketch), want.str());
+    }
+  }
+
+  for (size_t columns : {1u, 2u, 5u}) {
+    QuantileSketchBank bank;
+    ASSERT_TRUE(bank.Observe(RandomProbabilities(300, columns, rng)).ok());
+    std::ostringstream want;
+    common::BinaryWriter writer(want);
+    writer.WriteMagic("BBVQB", 1);
+    writer.WriteInt32(bank.options().resolution_bits);
+    writer.WriteDouble(bank.options().lo);
+    writer.WriteDouble(bank.options().hi);
+    writer.WriteUint64(bank.rows_observed());
+    writer.WriteUint64(bank.num_columns());
+    for (size_t k = 0; k < bank.num_columns(); ++k) {
+      EncodeSketch(bank.sketch(k), writer);
+    }
+    ASSERT_TRUE(writer.status().ok());
+    EXPECT_EQ(BankBytes(bank), want.str()) << columns << " columns";
+  }
 }
 
 }  // namespace
