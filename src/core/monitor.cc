@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/telemetry.h"
+#include "core/prediction_statistics.h"
 #include "stats/descriptive.h"
 
 namespace bbv::core {
@@ -27,11 +28,16 @@ common::Status ValidatePredictorReference(
   return common::Status::OK();
 }
 
-/// Shared validation for the factories and the CHECK-ing constructor;
-/// returns a non-OK status describing the first violated invariant.
-common::Status ValidateMonitorArguments(const PerformancePredictor& predictor,
-                                        const ModelMonitor::Options& options) {
-  if (!predictor.trained()) {
+}  // namespace
+
+common::Result<ModelMonitor> ModelMonitor::CreateForProba(
+    std::string name, std::shared_ptr<const PerformancePredictor> predictor,
+    Options options) {
+  if (predictor == nullptr) {
+    return common::Status::InvalidArgument(
+        "CreateForProba needs a predictor");
+  }
+  if (!predictor->trained()) {
     return common::Status::FailedPrecondition(
         "ModelMonitor needs a trained predictor");
   }
@@ -51,78 +57,19 @@ common::Status ValidateMonitorArguments(const PerformancePredictor& predictor,
   }
   // A non-positive reference used to silently clamp relative_drop to 0,
   // so alarms could never fire against it; reject it up front instead.
-  return ValidatePredictorReference(predictor);
-}
-
-}  // namespace
-
-common::Result<ModelMonitor> ModelMonitor::Create(
-    const ml::BlackBox* model, PerformancePredictor predictor,
-    Options options) {
-  if (model == nullptr) {
-    return common::Status::InvalidArgument("ModelMonitor needs a model");
-  }
-  BBV_RETURN_NOT_OK(ValidateMonitorArguments(predictor, options));
-  return ModelMonitor(model, model->Name(),
-                      std::make_shared<const PerformancePredictor>(
-                          std::move(predictor)),
-                      options);
-}
-
-common::Result<ModelMonitor> ModelMonitor::CreateForProba(
-    std::string name, std::shared_ptr<const PerformancePredictor> predictor,
-    Options options) {
-  if (predictor == nullptr) {
-    return common::Status::InvalidArgument(
-        "CreateForProba needs a predictor");
-  }
-  BBV_RETURN_NOT_OK(ValidateMonitorArguments(*predictor, options));
-  return ModelMonitor(nullptr, std::move(name), std::move(predictor),
-                      options);
-}
-
-ModelMonitor::ModelMonitor(const ml::BlackBox* model,
-                           PerformancePredictor predictor, Options options)
-    : ModelMonitor(model, model != nullptr ? model->Name() : std::string(),
-                   std::make_shared<const PerformancePredictor>(
-                       std::move(predictor)),
-                   options) {
-  BBV_CHECK(model != nullptr) << "ModelMonitor needs a model";
+  BBV_RETURN_NOT_OK(ValidatePredictorReference(*predictor));
+  return ModelMonitor(std::move(name), std::move(predictor), options);
 }
 
 ModelMonitor::ModelMonitor(
-    const ml::BlackBox* model, std::string name,
-    std::shared_ptr<const PerformancePredictor> predictor, Options options)
-    : model_(model),
-      name_(std::move(name)),
+    std::string name, std::shared_ptr<const PerformancePredictor> predictor,
+    Options options)
+    : name_(std::move(name)),
       predictor_(std::move(predictor)),
       options_(options) {
   stats::QuantileSketch::Options sketch_options;
   sketch_options.resolution_bits = options_.sketch_resolution_bits;
   window_sum_ = stats::QuantileSketchBank(0, sketch_options);
-  const common::Status valid =
-      ValidateMonitorArguments(*predictor_, options_);
-  BBV_CHECK(valid.ok()) << valid.ToString();
-}
-
-common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
-    const data::DataFrame& serving) {
-  const common::telemetry::TraceSpan span("monitor.observe");
-  if (model_ == nullptr) {
-    return common::Status::FailedPrecondition(
-        "frame Observe on a proba-only monitor (no black box attached); "
-        "feed precomputed probabilities through the matrix overload");
-  }
-  BBV_ASSIGN_OR_RETURN(linalg::Matrix probabilities,
-                       model_->PredictProba(serving));
-  BBV_ASSIGN_OR_RETURN(BatchReport report, Observe(probabilities));
-  // Fold the model-inference time into the reported latency (the inner call
-  // only timed featurization + forest inference).
-  report.latency_seconds = span.ElapsedSeconds();
-  if (!history_.empty()) {
-    history_.back().latency_seconds = report.latency_seconds;
-  }
-  return report;
 }
 
 common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
@@ -131,8 +78,9 @@ common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
   if (probabilities.rows() == 0) {
     return common::Status::InvalidArgument("empty serving batch");
   }
-  // A serving stream must degrade recoverably, so the window sum scans the
-  // batch for NaN/Inf before the exact estimate sorts it.
+  // A serving stream must degrade recoverably: NaN/Inf is rejected before
+  // anything sorts the batch, by the window sum's scan in windowed mode and
+  // by the exact estimate's own scan in classic mode.
   if (windowed()) BBV_RETURN_NOT_OK(AddToWindow(probabilities));
   common::Result<ScoreEstimate> estimate =
       predictor_->EstimateScoreFromProba(probabilities);
@@ -184,26 +132,19 @@ common::Result<ModelMonitor::BatchReport> ModelMonitor::ObserveWindow(
 common::Status ModelMonitor::AddToWindow(const linalg::Matrix& probabilities) {
   const size_t classes = predictor_->feature_dimension() /
                          predictor_->percentile_points().size();
-  common::Status added = common::Status::OK();
-  if (probabilities.cols() == classes) {
-    added = window_sum_.Observe(probabilities);
-  } else {
+  if (probabilities.cols() != classes) {
     // NaN/Inf is reported before the class count, whatever the width.
-    const std::vector<double>& entries = probabilities.data();
-    const auto bad =
-        std::find_if(entries.begin(), entries.end(),
-                     [](double value) { return !std::isfinite(value); });
-    if (bad == entries.end()) {
-      return common::Status::InvalidArgument(
-          "serving batch has " + std::to_string(probabilities.cols()) +
-          " classes but the predictor was trained on " +
-          std::to_string(classes));
+    const common::Status finite = CheckFiniteProbabilities(probabilities);
+    if (!finite.ok()) {
+      common::telemetry::IncrementCounter("monitor.nonfinite_inputs");
+      return finite;
     }
-    const auto row = static_cast<size_t>(bad - entries.begin()) /
-                     probabilities.cols();
-    added = common::Status::InvalidArgument(
-        "non-finite probability at row " + std::to_string(row));
+    return common::Status::InvalidArgument(
+        "serving batch has " + std::to_string(probabilities.cols()) +
+        " classes but the predictor was trained on " +
+        std::to_string(classes));
   }
+  const common::Status added = window_sum_.Observe(probabilities);
   if (!added.ok()) {
     common::telemetry::IncrementCounter("monitor.nonfinite_inputs");
     std::string message = "serving batch contains a ";

@@ -9,24 +9,23 @@
 
 #include "common/result.h"
 #include "core/performance_predictor.h"
-#include "data/dataframe.h"
 #include "linalg/matrix.h"
-#include "ml/black_box.h"
 #include "stats/quantile_sketch.h"
 
 namespace bbv::core {
 
-/// Serving-time convenience wrapper (the "end user or serving system
-/// inspects estimated score" step from the paper's Figure 1): feeds batches
-/// through the black box and a trained performance predictor, keeps a
-/// bounded history of estimates, and renders an operations summary plus a
-/// machine-readable JSON serving log.
+/// Serving-time monitor (the "end user or serving system inspects estimated
+/// score" step from the paper's Figure 1): scores batches of the black box's
+/// predicted class probabilities with a trained performance predictor, keeps
+/// a bounded history of estimates, and renders an operations summary plus a
+/// machine-readable JSON serving log. Like the paper's Algorithm 2 it reads
+/// only the model's output distribution and never calls the model, so it
+/// runs next to whatever system serves the black box.
 ///
 /// Hardening contract: the clean-test reference score must be finite and
 /// strictly positive — a degenerate reference used to silently force
-/// relative_drop to 0 so alarms could never fire. Use Create() for the
-/// recoverable Status-returning validation; the constructors enforce the
-/// same invariants with BBV_CHECK.
+/// relative_drop to 0 so alarms could never fire. CreateForProba, the one
+/// way to build a monitor, rejects it with a Status.
 class ModelMonitor {
  public:
   /// What the alarm thresholds on. The estimate is an interval now
@@ -62,7 +61,9 @@ class ModelMonitor {
     /// retained batches (window_batches * rows * num_classes doubles): each
     /// batch is added to the sum and the batch leaving the window is
     /// retracted from it, so a batch costs O(rows) whatever the window
-    /// length. 0 keeps the classic per-batch behavior.
+    /// length. 0 keeps the classic per-batch mode, the only one that alarms
+    /// on the paper's exact per-batch statistics: a one-batch window alarms
+    /// on sketch-quantized statistics instead.
     size_t window_batches = 0;
     /// Sketch resolution of the window sum (see
     /// stats::QuantileSketch::Options); only used when window_batches > 0.
@@ -86,8 +87,8 @@ class ModelMonitor {
     double certified_drop = 0.0;
     bool alarm = false;
     /// Wall-clock seconds spent scoring this batch (predictor featurization
-    /// + forest inference; model inference too when observed via
-    /// Observe()). 0 when telemetry is disabled (BBV_TELEMETRY=off).
+    /// + forest inference; the model's inference ran before the monitor saw
+    /// the batch). 0 when telemetry is disabled (BBV_TELEMETRY=off).
     double latency_seconds = 0.0;
     /// Telemetry snapshot at report time: process-wide count of predictor
     /// estimate calls, for cross-referencing this serving log against the
@@ -114,46 +115,22 @@ class ModelMonitor {
     uint64_t epoch = 0;
   };
 
-  /// Validating factory: rejects a null model, an untrained predictor, an
-  /// alarm threshold outside (0, 1), a zero history limit, and — the
-  /// recoverable path for serving systems — a non-finite or non-positive
-  /// reference score, with InvalidArgument instead of a crash.
-  static common::Result<ModelMonitor> Create(const ml::BlackBox* model,
-                                             PerformancePredictor predictor,
-                                             Options options);
-  static common::Result<ModelMonitor> Create(const ml::BlackBox* model,
-                                             PerformancePredictor predictor) {
-    return Create(model, std::move(predictor), Options{});
-  }
-
-  /// Proba-only factory for serving systems that run model inference
-  /// elsewhere (the multi-tenant service): no black box is attached, so
-  /// the frame overload of Observe() is unavailable — feed precomputed
-  /// probabilities through Observe(const linalg::Matrix&). `name` labels
-  /// the monitor in Summary()/ExportJson(); the predictor is shared, not
-  /// copied, so thousands of tenants can monitor against one deployed
-  /// forest.
+  /// The factory: rejects a null or untrained predictor, an alarm threshold
+  /// outside (0, 1), a zero history limit, a sketch resolution outside
+  /// [1, 24] in windowed mode and a non-finite or non-positive reference
+  /// score, with a Status instead of a crash. `name` labels the monitor in
+  /// Summary()/ExportJson(); the predictor is shared, not copied, so
+  /// thousands of tenants can monitor against one deployed forest.
   static common::Result<ModelMonitor> CreateForProba(
       std::string name,
       std::shared_ptr<const PerformancePredictor> predictor, Options options);
 
-  /// `model` must outlive the monitor; `predictor` must be trained with a
-  /// finite, strictly positive reference score (BBV_CHECK-enforced).
-  ModelMonitor(const ml::BlackBox* model, PerformancePredictor predictor)
-      : ModelMonitor(model, std::move(predictor), Options{}) {}
-  ModelMonitor(const ml::BlackBox* model, PerformancePredictor predictor,
-               Options options);
-
-  /// Scores one serving batch — its exact estimate, then in windowed mode
-  /// the windowed step ObserveWindow runs — and appends the report to the
-  /// history. The frame overload runs the attached black box first
-  /// (unavailable on proba-only monitors); the probability overload takes
-  /// precomputed model outputs. Both reject empty batches and non-finite
-  /// estimates (neither pollutes the history or the window), and both return
-  /// the report — callers must consume it (or at minimum its Status; the
-  /// status-discard lint flags drops). The former ObserveFromProba name is
-  /// folded into this overload set.
-  common::Result<BatchReport> Observe(const data::DataFrame& serving);
+  /// Scores one batch of predicted class probabilities — its exact
+  /// estimate, then in windowed mode the windowed step ObserveWindow runs —
+  /// and appends the report to the history. Rejects empty batches, NaN/Inf
+  /// probabilities and non-finite estimates (none pollutes the history or
+  /// the window), and returns the report — callers must consume it (or at
+  /// minimum its Status; the status-discard lint flags drops).
   common::Result<BatchReport> Observe(const linalg::Matrix& probabilities);
 
   /// The windowed step of Observe alone, for callers that score the batch
@@ -208,7 +185,7 @@ class ModelMonitor {
   void ClearWindow();
 
  private:
-  ModelMonitor(const ml::BlackBox* model, std::string name,
+  ModelMonitor(std::string name,
                std::shared_ptr<const PerformancePredictor> predictor,
                Options options);
 
@@ -226,9 +203,7 @@ class ModelMonitor {
   /// (reference - score) / reference.
   double Drop(double score) const;
 
-  const ml::BlackBox* model_;
-  /// Label for Summary()/ExportJson(): the model's name, or the caller-
-  /// supplied name for proba-only monitors.
+  /// Label for Summary()/ExportJson().
   std::string name_;
   std::shared_ptr<const PerformancePredictor> predictor_;
   Options options_;

@@ -204,8 +204,8 @@ common::Status PerformancePredictor::TrainFromStatistics(
   // and every later draw from `rng` are byte-identical whether calibration
   // is on or off.
   calibrator_ = ConformalCalibrator();
-  if (options_.conformal_calibration && options_.calibration_folds >= 2 &&
-      scores.size() >= static_cast<size_t>(options_.calibration_folds)) {
+  if (options_.conformal_calibration && options_.cv_folds >= 2 &&
+      scores.size() >= static_cast<size_t>(options_.cv_folds)) {
     BBV_RETURN_NOT_OK(CalibrateConformal(features, scores));
   }
   trained_ = true;
@@ -224,7 +224,7 @@ common::Status PerformancePredictor::CalibrateConformal(
   // which a constant seed plus the example count provides.
   common::Rng rng(0xC0'4F'0B'A1ull + scores.size());
   const std::vector<ml::Fold> folds = ml::KFoldIndices(
-      scores.size(), options_.calibration_folds, rng);
+      scores.size(), options_.cv_folds, rng);
   // Fold refits are independent and write disjoint slots; one pre-forked
   // stream per fold keeps the residual multiset — and hence the canonical
   // sorted calibration state — byte-identical at every BBV_THREADS.
@@ -291,13 +291,13 @@ double PerformancePredictor::TreeValueSpread(const double* row) const {
   return view.Percentile(75.0) - view.Percentile(25.0);
 }
 
-ScoreEstimate PerformancePredictor::IntervalFor(
-    double point, const double* row, double coverage_level) const {
+ScoreEstimate PerformancePredictor::IntervalFor(double point,
+                                                const double* row) const {
   if (!calibrator_.calibrated()) return ScoreEstimate::Degenerate(point);
   const bool scaled =
       calibrator_.mode() == ConformalCalibrator::Mode::kQuantileForest;
   const double spread = scaled ? TreeValueSpread(row) : 0.0;
-  return calibrator_.Interval(point, spread, coverage_level);
+  return calibrator_.Interval(point, spread, options_.coverage_level);
 }
 
 namespace {
@@ -427,17 +427,12 @@ PerformancePredictor::ProbeEstimationError(
 
 common::Result<ScoreEstimate> PerformancePredictor::EstimateScoreFromProba(
     const linalg::Matrix& probabilities) const {
-  return EstimateScoreFromProba(probabilities, options_.coverage_level);
-}
-
-common::Result<ScoreEstimate> PerformancePredictor::EstimateScoreFromProba(
-    const linalg::Matrix& probabilities, double coverage_level) const {
-  const common::telemetry::TraceSpan span("predictor.estimate");
   if (!trained_) {
     return common::Status::FailedPrecondition("EstimateScore before Train");
   }
   // Shape first: PredictionStatistics requires rows, and a batch with the
-  // wrong class count is rejected before paying for its statistics.
+  // wrong class count is rejected before paying for its statistics. NaN has
+  // no rank, so a non-finite batch is rejected before anything sorts it.
   if (probabilities.rows() == 0) {
     return common::Status::InvalidArgument(
         "serving batch has no rows to estimate a score from");
@@ -450,24 +445,16 @@ common::Result<ScoreEstimate> PerformancePredictor::EstimateScoreFromProba(
         std::to_string(feature_dimension_ /
                        options_.percentile_points.size()));
   }
-  common::telemetry::IncrementCounter("predictor.estimate.calls");
+  BBV_RETURN_NOT_OK(CheckFiniteProbabilities(probabilities));
   common::telemetry::IncrementCounter("predictor.estimate.rows",
                                       probabilities.rows());
-  const std::vector<double> statistics =
-      PredictionStatistics(probabilities, options_.percentile_points);
-  const double point = regressor_.PredictRow(statistics.data());
-  return IntervalFor(point, statistics.data(), coverage_level);
+  return EstimateScoreFromStatistics(
+      PredictionStatistics(probabilities, options_.percentile_points));
 }
 
 common::Result<ScoreEstimate>
 PerformancePredictor::EstimateScoreFromStatistics(
     std::span<const double> statistics) const {
-  return EstimateScoreFromStatistics(statistics, options_.coverage_level);
-}
-
-common::Result<ScoreEstimate>
-PerformancePredictor::EstimateScoreFromStatistics(
-    std::span<const double> statistics, double coverage_level) const {
   const common::telemetry::TraceSpan span("predictor.estimate");
   if (!trained_) {
     return common::Status::FailedPrecondition("EstimateScore before Train");
@@ -482,7 +469,7 @@ PerformancePredictor::EstimateScoreFromStatistics(
   }
   common::telemetry::IncrementCounter("predictor.estimate.calls");
   const double point = regressor_.PredictRow(statistics.data());
-  return IntervalFor(point, statistics.data(), coverage_level);
+  return IntervalFor(point, statistics.data());
 }
 
 common::Status PerformancePredictor::EstimateScoresFromStatistics(
@@ -513,8 +500,7 @@ common::Status PerformancePredictor::EstimateScoresFromStatistics(
   std::vector<double> points(statistics.rows());
   regressor_.PredictInto(statistics, points);
   for (size_t i = 0; i < statistics.rows(); ++i) {
-    out[i] = IntervalFor(points[i], statistics.RowData(i),
-                         options_.coverage_level);
+    out[i] = IntervalFor(points[i], statistics.RowData(i));
   }
   return common::Status::OK();
 }

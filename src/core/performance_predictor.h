@@ -60,7 +60,8 @@ class PerformancePredictor {
     /// same sampling noise at training and serving time.
     size_t meta_batch_size = 0;
     /// Grid searched over the random forest's tree count with
-    /// `cv_folds`-fold cross validation minimizing MAE (paper §4).
+    /// `cv_folds`-fold cross validation minimizing MAE (paper §4). The
+    /// conformal calibration's out-of-fold pass uses the same fold count.
     std::vector<int> tree_count_grid = {25, 50, 100};
     int cv_folds = 5;
     /// Conformal calibration of the estimate intervals (ScoreEstimate
@@ -68,17 +69,14 @@ class PerformancePredictor {
     /// the final regressor fit — the fitted forest (and hence every
     /// `.point`) is byte-for-byte what an uncalibrated train produces.
     /// Calibration is skipped (estimates stay degenerate) when there are
-    /// fewer meta-training examples than calibration folds.
+    /// fewer meta-training examples than folds.
     bool conformal_calibration = true;
     /// Nonconformity mode: kSplitConformal for constant-width intervals,
     /// kQuantileForest for locally scaled ones (see ConformalCalibrator).
     ConformalCalibrator::Mode conformal_mode =
         ConformalCalibrator::Mode::kSplitConformal;
-    /// Folds of the out-of-fold residual pass.
-    int calibration_folds = 5;
     /// Nominal marginal coverage of the intervals the EstimateScore*
-    /// surfaces return; explicit-coverage overloads exist for callers that
-    /// sweep coverage levels.
+    /// surfaces return (calibrator().Interval serves any other level).
     double coverage_level = 0.9;
   };
 
@@ -110,12 +108,12 @@ class PerformancePredictor {
   common::Result<ScoreEstimate> EstimateScore(
       const ml::BlackBox& model, const data::DataFrame& serving) const;
 
-  /// Estimated score from precomputed model outputs.
+  /// Estimated score from precomputed model outputs: their percentile
+  /// statistics through EstimateScoreFromStatistics. Rejects an empty
+  /// batch, a class count the predictor was not trained on and NaN/Inf
+  /// probabilities with InvalidArgument.
   common::Result<ScoreEstimate> EstimateScoreFromProba(
       const linalg::Matrix& probabilities) const;
-  /// Explicit-coverage overload for callers sweeping coverage levels.
-  common::Result<ScoreEstimate> EstimateScoreFromProba(
-      const linalg::Matrix& probabilities, double coverage_level) const;
 
   /// One estimation-error measurement on a *labeled* serving frame: the
   /// model predicts `serving` once, and the shared probabilities feed both
@@ -146,9 +144,6 @@ class PerformancePredictor {
   /// the regressor was trained on.
   common::Result<ScoreEstimate> EstimateScoreFromStatistics(
       std::span<const double> statistics) const;
-  /// Explicit-coverage overload for callers sweeping coverage levels.
-  common::Result<ScoreEstimate> EstimateScoreFromStatistics(
-      std::span<const double> statistics, double coverage_level) const;
 
   /// Batch variant for the multi-tenant serving layer: one percentile
   /// feature row per pending request, all scored through a single
@@ -207,10 +202,9 @@ class PerformancePredictor {
   /// Inter-quartile range of the final forest's per-tree predictions for
   /// one feature row (the kQuantileForest difficulty signal).
   double TreeValueSpread(const double* row) const;
-  /// Interval around a point prediction for the feature row `row` at the
-  /// given coverage (row is only walked in quantile-forest mode).
-  ScoreEstimate IntervalFor(double point, const double* row,
-                            double coverage_level) const;
+  /// Interval around a point prediction for the feature row `row` at
+  /// Options::coverage_level (row is only walked in quantile-forest mode).
+  ScoreEstimate IntervalFor(double point, const double* row) const;
 
   Options options_;
   bool trained_ = false;

@@ -222,6 +222,9 @@ common::Result<bool> PerformanceValidator::ValidateFromProba(
         "batch must be non-empty with one column per class the validator "
         "was trained on");
   }
+  // NaN has no rank: reject it before the percentile and KS features sort
+  // the batch.
+  BBV_RETURN_NOT_OK(CheckFiniteProbabilities(probabilities));
   common::telemetry::IncrementCounter("validator.validate.calls");
   bool verdict = false;
   if (degenerate_) {

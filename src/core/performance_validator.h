@@ -71,7 +71,9 @@ class PerformanceValidator {
   common::Result<bool> Validate(const ml::BlackBox& model,
                                 const data::DataFrame& serving) const;
 
-  /// Validation decision from precomputed model outputs.
+  /// Validation decision from precomputed model outputs. Rejects an empty
+  /// batch, a class count the validator was not trained on and NaN/Inf
+  /// probabilities with InvalidArgument.
   common::Result<bool> ValidateFromProba(
       const linalg::Matrix& probabilities) const;
 

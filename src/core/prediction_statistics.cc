@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 #include "stats/descriptive.h"
@@ -100,6 +101,18 @@ std::vector<double> PredictionStatistics(
                          [](double v) { return std::isfinite(v); }))
       << "percentile feature vector contains NaN/Inf";
   return features;
+}
+
+common::Status CheckFiniteProbabilities(const linalg::Matrix& probabilities) {
+  const std::vector<double>& entries = probabilities.data();
+  const auto bad = std::find_if(entries.begin(), entries.end(),
+                                [](double v) { return !std::isfinite(v); });
+  if (bad == entries.end()) return common::Status::OK();
+  const auto row =
+      static_cast<size_t>(bad - entries.begin()) / probabilities.cols();
+  return common::Status::InvalidArgument(
+      "serving batch contains a non-finite probability at row " +
+      std::to_string(row));
 }
 
 }  // namespace bbv::core

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/status.h"
 #include "linalg/matrix.h"
 
 namespace bbv::core {
@@ -31,6 +32,12 @@ std::vector<double> PredictionStatistics(
 std::vector<double> PredictionStatistics(
     const linalg::Matrix& probabilities, const std::vector<size_t>& rows,
     const std::vector<double>& percentile_points);
+
+/// InvalidArgument naming the first row of `probabilities` that holds a NaN
+/// or Inf ("serving batch contains a non-finite probability at row N"); OK
+/// for a finite batch. The exact-statistics serving surfaces run it before
+/// they sort a batch: NaN has no rank, so a sorted column is meaningless.
+common::Status CheckFiniteProbabilities(const linalg::Matrix& probabilities);
 
 }  // namespace bbv::core
 

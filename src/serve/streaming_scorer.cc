@@ -69,13 +69,6 @@ common::Status StreamingScorer::Ingest(const linalg::Matrix& probabilities) {
   return common::Status::OK();
 }
 
-common::Status StreamingScorer::IngestFrame(const ml::BlackBox& model,
-                                            const data::DataFrame& serving) {
-  BBV_ASSIGN_OR_RETURN(linalg::Matrix probabilities,
-                       model.PredictProba(serving));
-  return Ingest(probabilities);
-}
-
 common::Result<std::vector<double>> StreamingScorer::PercentileFeatures()
     const {
   if (bank_.rows_observed() == 0) {

@@ -11,9 +11,7 @@
 
 #include "common/result.h"
 #include "core/performance_predictor.h"
-#include "data/dataframe.h"
 #include "linalg/matrix.h"
-#include "ml/black_box.h"
 #include "stats/quantile_sketch.h"
 
 namespace bbv::serve {
@@ -65,10 +63,6 @@ class StreamingScorer {
   /// disagrees with earlier batches or with the predictor's trained feature
   /// dimension, and non-finite probabilities. Rows are not retained.
   common::Status Ingest(const linalg::Matrix& probabilities);
-
-  /// Runs the model on `serving` and ingests the resulting probabilities.
-  common::Status IngestFrame(const ml::BlackBox& model,
-                             const data::DataFrame& serving);
 
   /// Percentile feature vector over everything ingested so far, evaluated
   /// at the predictor's percentile grid. Requires at least one ingested row.

@@ -295,7 +295,12 @@ common::Result<core::ScoreEstimate> ValidatorService::EstimateScore(
   }
   BBV_RETURN_NOT_OK(EnsureResident(it->second));
   it->second.last_touch = ++touch_clock_;
-  return it->second.scorer->EstimateScore();
+  common::Result<core::ScoreEstimate> estimate =
+      it->second.scorer->EstimateScore();
+  // A rehydration may have put one tenant over the cap; the tenant just
+  // touched is the newest, so it stays resident.
+  EnforceResidencyCap();
+  return estimate;
 }
 
 common::Status ValidatorService::SaveTenantState(const std::string& model_id,

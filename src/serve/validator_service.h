@@ -183,7 +183,8 @@ class ValidatorService {
                       linalg::Matrix probabilities);
 
   /// Current streaming estimate of a tenant (rehydrates it if evicted and
-  /// counts as a use for LRU purposes). Requires ingested rows.
+  /// counts as a use for LRU purposes; the residency cap holds again on
+  /// return). Requires ingested rows.
   common::Result<core::ScoreEstimate> EstimateScore(
       const std::string& model_id);
 

@@ -27,16 +27,26 @@ TestResult CheckedResult(TestResult result) {
   return result;
 }
 
+/// `<` extended to a total order that ranks NaN above every number (and
+/// equal to another NaN). On two non-NaN values it answers exactly as `<`,
+/// so a sort or merge driven by it does the same steps on NaN-free input.
+bool RanksBefore(double x, double y) {
+  return x < y || (std::isnan(y) && !std::isnan(x));
+}
+
 }  // namespace
 
 TestResult TwoSampleKsTest(std::vector<double> a, std::vector<double> b) {
   BBV_CHECK(!a.empty() && !b.empty());
   BBV_DCHECK(AllFinite(a)) << "KS test input a contains NaN/Inf";
   BBV_DCHECK(AllFinite(b)) << "KS test input b contains NaN/Inf";
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  BBV_DCHECK(std::is_sorted(a.begin(), a.end()));
-  BBV_DCHECK(std::is_sorted(b.begin(), b.end()));
+  // Under `<` a NaN is no valid sort key, and a merge that steps past the
+  // values `<=` a NaN head never moves. The total order gives NaN a rank, so
+  // every merge step consumes at least the element it chose.
+  std::sort(a.begin(), a.end(), RanksBefore);
+  std::sort(b.begin(), b.end(), RanksBefore);
+  BBV_DCHECK(std::is_sorted(a.begin(), a.end(), RanksBefore));
+  BBV_DCHECK(std::is_sorted(b.begin(), b.end(), RanksBefore));
   const double na = static_cast<double>(a.size());
   const double nb = static_cast<double>(b.size());
   size_t ia = 0;
@@ -45,11 +55,9 @@ TestResult TwoSampleKsTest(std::vector<double> a, std::vector<double> b) {
   double cdf_b = 0.0;
   double d = 0.0;
   while (ia < a.size() && ib < b.size()) {
-    const double va = a[ia];
-    const double vb = b[ib];
-    const double value = std::min(va, vb);
-    while (ia < a.size() && a[ia] <= value) ++ia;
-    while (ib < b.size() && b[ib] <= value) ++ib;
+    const double value = RanksBefore(b[ib], a[ia]) ? b[ib] : a[ia];
+    while (ia < a.size() && !RanksBefore(value, a[ia])) ++ia;
+    while (ib < b.size() && !RanksBefore(value, b[ib])) ++ib;
     cdf_a = static_cast<double>(ia) / na;
     cdf_b = static_cast<double>(ib) / nb;
     d = std::max(d, std::abs(cdf_a - cdf_b));

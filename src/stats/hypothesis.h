@@ -18,7 +18,9 @@ struct TestResult {
 
 /// Two-sample Kolmogorov-Smirnov test: are `a` and `b` drawn from the same
 /// continuous distribution? Asymptotic p-value via the Kolmogorov
-/// distribution. Both samples must be non-empty.
+/// distribution. Both samples must be non-empty and should be finite (a
+/// debug-build contract); a NaN that reaches a release build ranks above
+/// every number, so the test still returns, with a statistic in [0, 1].
 TestResult TwoSampleKsTest(std::vector<double> a, std::vector<double> b);
 
 /// Chi-squared test of homogeneity on a 2 x K contingency table given as two

@@ -163,7 +163,11 @@ PipelineOutputs RunPipeline() {
   core::PerformanceValidator validator(validator_options);
   BBV_CHECK(validator.Train(model, test, {&outliers}, rng).ok());
 
-  core::ModelMonitor monitor(&model, predictor);
+  core::ModelMonitor monitor =
+      core::ModelMonitor::CreateForProba(
+          model.Name(),
+          std::make_shared<const core::PerformancePredictor>(predictor), {})
+          .ValueOrDie();
   const errors::Scaling severe({}, errors::FractionRange{0.95, 1.0},
                                {1000.0});
   for (int i = 0; i < 3; ++i) {

@@ -268,17 +268,23 @@ TEST(ConformalPredictorTest, IntervalWidthMonotoneInCoverageLevel) {
       0, 200, rng, ConformalCalibrator::Mode::kSplitConformal);
   auto [statistics, scores] = MakeMeta(10, 0, rng);
   for (const auto& row : statistics) {
+    const auto served = predictor.EstimateScoreFromStatistics(row);  // bbv-lint: allow(batch-api) one row probed across coverage levels
+    ASSERT_TRUE(served.ok());
     double previous_width = -1.0;
     for (const double coverage : {0.5, 0.7, 0.9, 0.95, 0.99}) {
-      const auto estimate =
-          predictor.EstimateScoreFromStatistics(row, coverage);  // bbv-lint: allow(batch-api) one row probed across coverage levels
-      ASSERT_TRUE(estimate.ok());
-      EXPECT_DOUBLE_EQ(estimate->coverage_level, coverage);
-      EXPECT_LE(estimate->lo, estimate->point);
-      EXPECT_GE(estimate->hi, estimate->point);
-      EXPECT_GE(estimate->width(), previous_width);
-      previous_width = estimate->width();
+      // Split-conformal intervals ignore the spread argument.
+      const ScoreEstimate estimate =
+          predictor.calibrator().Interval(served->point, 0.0, coverage);
+      EXPECT_DOUBLE_EQ(estimate.coverage_level, coverage);
+      EXPECT_LE(estimate.lo, estimate.point);
+      EXPECT_GE(estimate.hi, estimate.point);
+      EXPECT_GE(estimate.width(), previous_width);
+      previous_width = estimate.width();
     }
+    // At the predictor's own level the calibrator gives what it serves.
+    EXPECT_EQ(predictor.calibrator().Interval(served->point, 0.0,
+                                              predictor.coverage_level()),
+              *served);
   }
 }
 
@@ -313,7 +319,7 @@ TEST(ConformalPredictorTest, DegeneratesWhenMetaTrainingIsTooSmall) {
   PerformancePredictor::Options options;
   options.tree_count_grid = {5};
   PerformancePredictor predictor(options);
-  // 4 examples < calibration_folds = 5: calibration must be skipped, not
+  // 4 examples < cv_folds = 5: calibration must be skipped, not
   // fail the train.
   ASSERT_TRUE(predictor
                   .TrainFromStatistics(

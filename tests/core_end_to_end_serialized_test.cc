@@ -55,23 +55,31 @@ TEST(EndToEndSerializedTest, ReloadedArtifactsReproduceDecisions) {
   auto predictor = core::PerformancePredictor::Load(predictor_artifact);
   ASSERT_TRUE(predictor.ok()) << predictor.status().ToString();
 
-  core::ModelMonitor monitor(model->get(), *predictor);
+  const ml::BlackBoxModel& black_box = **model;
+  auto monitor = core::ModelMonitor::CreateForProba(
+      black_box.Name(),
+      std::make_shared<const core::PerformancePredictor>(*predictor), {});
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
   const errors::Scaling incident({}, errors::FractionRange{0.9, 1.0},
                                  {1000.0});
   // Clean batch accepted; severe incident alarmed.
-  const auto clean_report = monitor.Observe(serving.features);
+  const auto clean_proba = black_box.PredictProba(serving.features);
+  ASSERT_TRUE(clean_proba.ok());
+  const auto clean_report = monitor->Observe(*clean_proba);
   ASSERT_TRUE(clean_report.ok());
   EXPECT_FALSE(clean_report->alarm);
   int alarms = 0;
   for (int i = 0; i < 3; ++i) {
     const auto corrupted = incident.Corrupt(serving.features, rng);
     ASSERT_TRUE(corrupted.ok());
-    const auto report = monitor.Observe(*corrupted);
+    const auto proba = black_box.PredictProba(*corrupted);
+    ASSERT_TRUE(proba.ok());
+    const auto report = monitor->Observe(*proba);
     ASSERT_TRUE(report.ok());
     if (report->alarm) ++alarms;
   }
   EXPECT_GE(alarms, 2);
-  EXPECT_EQ(monitor.batches_observed(), 4u);
+  EXPECT_EQ(monitor->batches_observed(), 4u);
 }
 
 }  // namespace

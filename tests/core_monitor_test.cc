@@ -51,11 +51,26 @@ Fixture MakeFixture(common::Rng& rng) {
   return fixture;
 }
 
+/// A monitor over a copy of the fixture's predictor, named after its model.
+ModelMonitor MakeMonitor(const Fixture& fixture,
+                         ModelMonitor::Options options = {}) {
+  return ModelMonitor::CreateForProba(
+             fixture.model->Name(),
+             std::make_shared<const PerformancePredictor>(fixture.predictor),
+             options)
+      .ValueOrDie();
+}
+
+/// The fixture model's predicted class probabilities on `frame`.
+linalg::Matrix Proba(const Fixture& fixture, const data::DataFrame& frame) {
+  return fixture.model->PredictProba(frame).ValueOrDie();
+}
+
 TEST(ModelMonitorTest, CleanBatchesDoNotAlarm) {
   common::Rng rng(1);
   Fixture fixture = MakeFixture(rng);
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor);
-  const auto report = monitor.Observe(fixture.serving.features);
+  ModelMonitor monitor = MakeMonitor(fixture);
+  const auto report = monitor.Observe(Proba(fixture, fixture.serving.features));
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->alarm);
   EXPECT_EQ(report->rows, fixture.serving.NumRows());
@@ -68,14 +83,14 @@ TEST(ModelMonitorTest, CatastrophicBatchesAlarm) {
   Fixture fixture = MakeFixture(rng);
   ModelMonitor::Options options;
   options.alarm_threshold = 0.05;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
+  ModelMonitor monitor = MakeMonitor(fixture, options);
   const errors::Scaling severe({}, errors::FractionRange{0.95, 1.0},
                                {1000.0});
   int alarms = 0;
   for (int i = 0; i < 5; ++i) {
     const auto corrupted =
         severe.Corrupt(fixture.serving.features, rng).ValueOrDie();
-    const auto report = monitor.Observe(corrupted);
+    const auto report = monitor.Observe(Proba(fixture, corrupted));
     ASSERT_TRUE(report.ok());
     if (report->alarm) ++alarms;
   }
@@ -88,7 +103,7 @@ TEST(ModelMonitorTest, HistoryIsBounded) {
   Fixture fixture = MakeFixture(rng);
   ModelMonitor::Options options;
   options.history_limit = 3;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
+  ModelMonitor monitor = MakeMonitor(fixture, options);
   const auto proba =
       fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
   for (int i = 0; i < 7; ++i) {
@@ -101,18 +116,33 @@ TEST(ModelMonitorTest, HistoryIsBounded) {
   EXPECT_EQ(monitor.history().front().batch_id, 4u);
 }
 
-TEST(ModelMonitorTest, EmptyBatchRejected) {
+TEST(ModelMonitorTest, MalformedBatchesRejected) {
   common::Rng rng(4);
   Fixture fixture = MakeFixture(rng);
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor);
+  ModelMonitor monitor = MakeMonitor(fixture);
   EXPECT_FALSE(monitor.Observe(linalg::Matrix()).ok());
+  // NaN/Inf probabilities used to be sorted into the exact statistics and
+  // reported as an accepted batch.
+  const linalg::Matrix proba = Proba(fixture, fixture.serving.features);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    linalg::Matrix poisoned = proba;
+    for (size_t i = 0; i < poisoned.rows(); i += 3) poisoned.At(i, 0) = bad;
+    EXPECT_EQ(monitor.Observe(poisoned).status().code(),
+              common::StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(monitor.batches_observed(), 0u);
+  EXPECT_TRUE(monitor.history().empty());
+  EXPECT_TRUE(monitor.Observe(proba).ok());
 }
 
 TEST(ModelMonitorTest, SummaryMentionsCounts) {
   common::Rng rng(5);
   Fixture fixture = MakeFixture(rng);
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor);
-  ASSERT_TRUE(monitor.Observe(fixture.serving.features).ok());
+  ModelMonitor monitor = MakeMonitor(fixture);
+  ASSERT_TRUE(monitor.Observe(Proba(fixture, fixture.serving.features)).ok());
   const std::string summary = monitor.Summary();
   EXPECT_NE(summary.find("1 batches observed"), std::string::npos);
   EXPECT_NE(summary.find("median="), std::string::npos);
@@ -139,7 +169,7 @@ TEST(ModelMonitorTest, AlarmFiresExactlyAtThreshold) {
   ModelMonitor::Options at_options;
   at_options.alarm_policy = ModelMonitor::AlarmPolicy::kPointDrop;
   at_options.alarm_threshold = drop;
-  ModelMonitor at_monitor(fixture.model.get(), fixture.predictor, at_options);
+  ModelMonitor at_monitor = MakeMonitor(fixture, at_options);
   const auto at_report = at_monitor.Observe(proba);
   ASSERT_TRUE(at_report.ok());
   EXPECT_TRUE(at_report->alarm);
@@ -148,8 +178,7 @@ TEST(ModelMonitorTest, AlarmFiresExactlyAtThreshold) {
   ModelMonitor::Options above_options;
   above_options.alarm_policy = ModelMonitor::AlarmPolicy::kPointDrop;
   above_options.alarm_threshold = drop + 1e-9;
-  ModelMonitor above_monitor(fixture.model.get(), fixture.predictor,
-                             above_options);
+  ModelMonitor above_monitor = MakeMonitor(fixture, above_options);
   const auto above_report = above_monitor.Observe(proba);
   ASSERT_TRUE(above_report.ok());
   EXPECT_FALSE(above_report->alarm);
@@ -160,7 +189,7 @@ TEST(ModelMonitorTest, HistoryTrimsAtExactBoundary) {
   Fixture fixture = MakeFixture(rng);
   ModelMonitor::Options options;
   options.history_limit = 3;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
+  ModelMonitor monitor = MakeMonitor(fixture, options);
   const auto proba =
       fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
   // Exactly at the limit: nothing is dropped yet.
@@ -179,9 +208,9 @@ TEST(ModelMonitorTest, HistoryTrimsAtExactBoundary) {
 TEST(ModelMonitorTest, ExportJsonRoundTrips) {
   common::Rng rng(8);
   Fixture fixture = MakeFixture(rng);
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor);
+  ModelMonitor monitor = MakeMonitor(fixture);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(monitor.Observe(fixture.serving.features).ok());
+    ASSERT_TRUE(monitor.Observe(Proba(fixture, fixture.serving.features)).ok());
   }
   const std::string json = monitor.ExportJson();
   EXPECT_TRUE(bbv::testing::JsonParses(json)) << json;
@@ -197,7 +226,7 @@ TEST(ModelMonitorTest, ExportJsonRoundTrips) {
 TEST(ModelMonitorTest, ExportJsonOfEmptyHistoryRoundTrips) {
   common::Rng rng(9);
   Fixture fixture = MakeFixture(rng);
-  const ModelMonitor monitor(fixture.model.get(), fixture.predictor);
+  const ModelMonitor monitor = MakeMonitor(fixture);
   EXPECT_TRUE(bbv::testing::JsonParses(monitor.ExportJson()));
 }
 
@@ -215,12 +244,14 @@ PerformancePredictor TrainTinyPredictor(double test_score, common::Rng& rng) {
 
 TEST(ModelMonitorTest, CreateRejectsDegenerateReferenceScore) {
   common::Rng rng(10);
-  const ml::BlackBoxModel model(std::make_unique<ml::SgdLogisticRegression>());
   for (double degenerate :
        {0.0, -0.25, std::numeric_limits<double>::quiet_NaN(),
         std::numeric_limits<double>::infinity()}) {
-    const auto monitor =
-        ModelMonitor::Create(&model, TrainTinyPredictor(degenerate, rng));
+    const auto monitor = ModelMonitor::CreateForProba(
+        "tiny",
+        std::make_shared<const PerformancePredictor>(
+            TrainTinyPredictor(degenerate, rng)),
+        {});
     EXPECT_FALSE(monitor.ok()) << degenerate;
     EXPECT_NE(monitor.status().ToString().find("reference score"),
               std::string::npos);
@@ -229,17 +260,21 @@ TEST(ModelMonitorTest, CreateRejectsDegenerateReferenceScore) {
 
 TEST(ModelMonitorTest, CreateRejectsBadConfiguration) {
   common::Rng rng(11);
-  PerformancePredictor predictor = TrainTinyPredictor(0.8, rng);
-  const ml::BlackBoxModel model(std::make_unique<ml::SgdLogisticRegression>());
-  EXPECT_FALSE(ModelMonitor::Create(nullptr, predictor).ok());
-  EXPECT_FALSE(ModelMonitor::Create(&model, PerformancePredictor()).ok());
+  const auto predictor = std::make_shared<const PerformancePredictor>(
+      TrainTinyPredictor(0.8, rng));
+  EXPECT_FALSE(
+      ModelMonitor::CreateForProba(
+          "tiny", std::make_shared<const PerformancePredictor>(), {})
+          .ok());
   ModelMonitor::Options bad_threshold;
   bad_threshold.alarm_threshold = 1.5;
-  EXPECT_FALSE(ModelMonitor::Create(&model, predictor, bad_threshold).ok());
+  EXPECT_FALSE(
+      ModelMonitor::CreateForProba("tiny", predictor, bad_threshold).ok());
   ModelMonitor::Options no_history;
   no_history.history_limit = 0;
-  EXPECT_FALSE(ModelMonitor::Create(&model, predictor, no_history).ok());
-  EXPECT_TRUE(ModelMonitor::Create(&model, predictor).ok());
+  EXPECT_FALSE(
+      ModelMonitor::CreateForProba("tiny", predictor, no_history).ok());
+  EXPECT_TRUE(ModelMonitor::CreateForProba("tiny", predictor, {}).ok());
 }
 
 TEST(ModelMonitorTest, ReportsCarryLatencyAndTelemetrySnapshot) {
@@ -247,8 +282,8 @@ TEST(ModelMonitorTest, ReportsCarryLatencyAndTelemetrySnapshot) {
   common::telemetry::SetEnabled(true);
   common::Rng rng(12);
   Fixture fixture = MakeFixture(rng);
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor);
-  const auto report = monitor.Observe(fixture.serving.features);
+  ModelMonitor monitor = MakeMonitor(fixture);
+  const auto report = monitor.Observe(Proba(fixture, fixture.serving.features));
   common::telemetry::SetEnabled(was_enabled);
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->latency_seconds, 0.0);
@@ -263,17 +298,16 @@ TEST(ModelMonitorTest, WindowedCreateRejectsBadSketchResolution) {
   Fixture fixture = MakeFixture(rng);
   ModelMonitor::Options options;
   options.window_batches = 4;
+  const auto predictor =
+      std::make_shared<const PerformancePredictor>(fixture.predictor);
   for (int bits : {0, -3, 25}) {
     options.sketch_resolution_bits = bits;
     EXPECT_FALSE(
-        ModelMonitor::Create(fixture.model.get(), fixture.predictor, options)
-            .ok())
+        ModelMonitor::CreateForProba("window", predictor, options).ok())
         << bits;
   }
   options.sketch_resolution_bits = 12;
-  EXPECT_TRUE(
-      ModelMonitor::Create(fixture.model.get(), fixture.predictor, options)
-          .ok());
+  EXPECT_TRUE(ModelMonitor::CreateForProba("window", predictor, options).ok());
 }
 
 TEST(ModelMonitorTest, WindowedHandlesEmptyAndSingleRowBatches) {
@@ -281,7 +315,7 @@ TEST(ModelMonitorTest, WindowedHandlesEmptyAndSingleRowBatches) {
   Fixture fixture = MakeFixture(rng);
   ModelMonitor::Options options;
   options.window_batches = 3;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
+  ModelMonitor monitor = MakeMonitor(fixture, options);
 
   EXPECT_FALSE(monitor.Observe(linalg::Matrix()).ok());
   EXPECT_EQ(monitor.batches_observed(), 0u);
@@ -302,7 +336,7 @@ TEST(ModelMonitorTest, WindowedEvictsWhenBatchCountExceedsWindow) {
   Fixture fixture = MakeFixture(rng);
   ModelMonitor::Options options;
   options.window_batches = 2;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
+  ModelMonitor monitor = MakeMonitor(fixture, options);
   const auto proba =
       fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
   for (int i = 0; i < 5; ++i) {
@@ -332,7 +366,7 @@ TEST(ModelMonitorTest, WindowedRejectsNonFiniteWithoutPollutingWindow) {
   Fixture fixture = MakeFixture(rng);
   ModelMonitor::Options options;
   options.window_batches = 4;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
+  ModelMonitor monitor = MakeMonitor(fixture, options);
   const auto proba =
       fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
   ASSERT_TRUE(monitor.Observe(proba).ok());
@@ -390,7 +424,7 @@ TEST(ModelMonitorTest, SwapPredictorStartsNewEpochAndClearsWindow) {
   EXPECT_NE(json.find("\"epoch\""), std::string::npos);
 }
 
-TEST(ModelMonitorTest, ProbaOnlyMonitorRejectsObserveAndNullPredictor) {
+TEST(ModelMonitorTest, CreateForProbaRejectsNullPredictorAndNamesMonitor) {
   common::Rng rng(18);
   Fixture fixture = MakeFixture(rng);
   EXPECT_FALSE(
@@ -399,15 +433,8 @@ TEST(ModelMonitorTest, ProbaOnlyMonitorRejectsObserveAndNullPredictor) {
       "tenant",
       std::make_shared<const PerformancePredictor>(fixture.predictor), {});
   ASSERT_TRUE(monitor.ok());
-  // No black box is attached, so frame-level observation cannot work; the
-  // failure must be a Status, not a crash.
-  EXPECT_FALSE(monitor->Observe(fixture.serving.features).ok());
   EXPECT_TRUE(
-      monitor
-          ->Observe(
-              fixture.model->PredictProba(fixture.serving.features)
-                  .ValueOrDie())
-          .ok());
+      monitor->Observe(Proba(fixture, fixture.serving.features)).ok());
   EXPECT_NE(monitor->Summary().find("tenant"), std::string::npos);
 }
 
@@ -416,7 +443,7 @@ TEST(ModelMonitorTest, HistoryRingKeepsTheNewestReports) {
   Fixture fixture = MakeFixture(rng);
   ModelMonitor::Options options;
   options.history_limit = 5;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
+  ModelMonitor monitor = MakeMonitor(fixture, options);
   const auto proba =
       fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
   std::vector<ModelMonitor::BatchReport> returned;
@@ -643,7 +670,7 @@ TEST(ModelMonitorTest, RunningWindowSumMatchesDenseRingOracle) {
 TEST(ModelMonitorTest, ObserveWindowNeedsAWindow) {
   common::Rng rng(22);
   Fixture fixture = MakeFixture(rng);
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor);
+  ModelMonitor monitor = MakeMonitor(fixture);
   const auto proba =
       fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
   EXPECT_EQ(monitor.ObserveWindow(proba).status().code(),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -279,6 +280,24 @@ TEST(PerformancePredictorTest, EstimateRejectsEmptyAndMisshapenBatches) {
                 .status()
                 .code(),
             common::StatusCode::kInvalidArgument);
+
+  // NaN/Inf used to be sorted into the statistics and scored with an OK
+  // status.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const linalg::Matrix poisoned = linalg::Matrix::FromRows(
+        {{0.9, 0.1}, {bad, 0.8}, {0.6, 0.4}, {0.3, 0.7}, {bad, 0.5},
+         {0.8, 0.2}});
+    EXPECT_EQ(predictor.EstimateScoreFromProba(poisoned).status().code(),
+              common::StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(predictor.EstimateScore(FixedProbaBox(poisoned), data::DataFrame())
+                  .status()
+                  .code(),
+              common::StatusCode::kInvalidArgument)
+        << bad;
+  }
 
   // A well-formed batch through the same surfaces still scores.
   const linalg::Matrix batch =

@@ -553,6 +553,16 @@ TEST(ValidatorSerializationTest, ValidateRejectsMalformedBatches) {
             common::StatusCode::kInvalidArgument);
   EXPECT_EQ(validator->ValidateFromProba(linalg::Matrix(0, 2)).status().code(),
             common::StatusCode::kInvalidArgument);
+  // A NaN in the batch used to stall the KS features' merge loop forever
+  // (this target's ctest TIMEOUT turns that into a failure); an Inf was
+  // sorted into the percentile features.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const linalg::Matrix poisoned(3, 2, {0.8, 0.2, bad, 0.6, 0.7, 0.3});
+    EXPECT_EQ(validator->ValidateFromProba(poisoned).status().code(),
+              common::StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 // The validator's percentile features and its predictor's estimate must be

@@ -21,9 +21,6 @@
 #include "common/rng.h"
 #include "core/monitor.h"
 #include "core/prediction_statistics.h"
-#include "datasets/tabular.h"
-#include "ml/black_box.h"
-#include "ml/sgd_logistic_regression.h"
 
 namespace bbv::serve {
 namespace {
@@ -286,22 +283,6 @@ TEST(StreamingScorerTest, KsDistanceSeparatesDriftedTraffic) {
   EXPECT_GT(*large, 0.4);
 }
 
-TEST(StreamingScorerTest, IngestFrameRunsTheModel) {
-  common::Rng rng(37);
-  core::PerformancePredictor predictor = TrainSyntheticPredictor(rng);
-  auto scorer = StreamingScorer::Create(predictor, {});
-  ASSERT_TRUE(scorer.ok());
-
-  data::Dataset dataset = datasets::MakeIncome(600, rng);
-  ml::BlackBoxModel model(std::make_unique<ml::SgdLogisticRegression>());
-  ASSERT_TRUE(model.Train(dataset, rng).ok());
-  ASSERT_TRUE(scorer->IngestFrame(model, dataset.features).ok());
-  EXPECT_EQ(scorer->rows_ingested(), dataset.features.NumRows());
-  const auto estimate = scorer->EstimateScore();
-  ASSERT_TRUE(estimate.ok());
-  EXPECT_TRUE(std::isfinite(estimate->point));
-}
-
 TEST(StreamingScorerTest, SaveLoadRoundTripIsByteIdentical) {
   common::Rng rng(39);
   core::PerformancePredictor predictor = TrainSyntheticPredictor(rng);
@@ -427,15 +408,15 @@ TEST(StreamingScorerTest, SwapPredictorValidatesAndSwitchesForests) {
 TEST(SlidingWindowMonitorTest, AlarmFiresOnlyAfterHealthyBatchesEvicted) {
   common::Rng rng(38);
   core::PerformancePredictor predictor = TrainSyntheticPredictor(rng);
-  const ml::BlackBoxModel model(
-      std::make_unique<ml::SgdLogisticRegression>());
   core::ModelMonitor::Options options;
   options.alarm_threshold = 0.35;
   options.window_batches = 2;
   // This test pins down the point-drop eviction semantics; the certified
   // (interval-based) policy is covered in core_monitor_interval_test.
   options.alarm_policy = core::ModelMonitor::AlarmPolicy::kPointDrop;
-  auto monitor = core::ModelMonitor::Create(&model, predictor, options);
+  auto monitor = core::ModelMonitor::CreateForProba(
+      "synthetic",
+      std::make_shared<const core::PerformancePredictor>(predictor), options);
   ASSERT_TRUE(monitor.ok());
   ASSERT_TRUE(monitor->windowed());
 

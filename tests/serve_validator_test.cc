@@ -344,7 +344,8 @@ class ReferenceLru {
  public:
   explicit ReferenceLru(size_t cap) : cap_(cap) {}
 
-  void Create(const std::string& id) {
+  /// A CreateTenant or an EstimateScore: touch one tenant, then enforce.
+  void Use(const std::string& id) {
     Touch(id);
     Enforce();
   }
@@ -415,7 +416,7 @@ TEST(ValidatorServiceTest, EvictionOrderMatchesReferenceLru) {
   const auto create = [&](size_t t) {
     ASSERT_TRUE(service.CreateTenant(ids[t], predictor).ok());
     registered[t] = true;
-    lru.Create(ids[t]);
+    lru.Use(ids[t]);
     std::string step = "create ";
     step += ids[t];
     expect_residency(step);
@@ -457,6 +458,20 @@ TEST(ValidatorServiceTest, EvictionOrderMatchesReferenceLru) {
   flush({2, 0, 4, 2, 1, 3, 0});
   flush({6, 5});
   flush({0, 1, 2, 3, 4, 5, 6});
+  // EstimateScore rehydrates an evicted tenant, which used to leave the
+  // service over its cap; the estimate is the tenant's latest answer.
+  const auto estimate = [&](size_t t) {
+    const auto current = service.EstimateScore(ids[t]);
+    ASSERT_TRUE(current.ok()) << current.status().ToString();
+    EXPECT_EQ(*current, estimates[t].back());
+    lru.Use(ids[t]);
+    std::string step = "estimate ";
+    step += ids[t];
+    expect_residency(step);
+  };
+  estimate(0);
+  estimate(1);
+  estimate(0);
   // Removing a resident tenant frees its slot: the next create evicts no one.
   ASSERT_TRUE(service.RemoveTenant(ids[6]).ok());
   registered[6] = false;
@@ -497,7 +512,7 @@ TEST(ValidatorServiceTest, EvictionOrderMatchesReferenceLruOnRandomTraffic) {
     ids.push_back(std::to_string(t));
     ids.back().insert(0, 1, 'r');
     ASSERT_TRUE(service.CreateTenant(ids.back(), predictor).ok());
-    lru.Create(ids.back());
+    lru.Use(ids.back());
   }
   common::Rng rng(50);
   std::vector<std::vector<linalg::Matrix>> sent(kTenants);

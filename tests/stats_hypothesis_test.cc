@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -123,6 +125,68 @@ TEST(KsTest, HandlesDuplicatedValues) {
   const TestResult result =
       TwoSampleKsTest({1, 1, 1, 1}, {1, 1, 1, 1});
   EXPECT_DOUBLE_EQ(result.statistic, 0.0);
+}
+
+/// The KS statistic as the merge computed it before NaN got a rank: sort
+/// with `<`, step past everything `<=` the smaller head.
+double ReferenceKsStatistic(std::vector<double> a, std::vector<double> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  size_t ia = 0;
+  size_t ib = 0;
+  double d = 0.0;
+  while (ia < a.size() && ib < b.size()) {
+    const double value = std::min(a[ia], b[ib]);
+    while (ia < a.size() && a[ia] <= value) ++ia;
+    while (ib < b.size() && b[ib] <= value) ++ib;
+    d = std::max(d, std::abs(static_cast<double>(ia) /
+                                 static_cast<double>(a.size()) -
+                             static_cast<double>(ib) /
+                                 static_cast<double>(b.size())));
+  }
+  return d;
+}
+
+TEST(KsTest, FiniteInputGivesTheStatisticOfThePlainMerge) {
+  common::Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Coarse values force ties within and across the samples; signed zeros
+    // ride along.
+    std::vector<double> a(1 + rng.UniformInt(40));
+    std::vector<double> b(1 + rng.UniformInt(40));
+    for (auto* sample : {&a, &b}) {
+      for (double& v : *sample) {
+        v = std::round(rng.Gaussian() * 4.0) / 4.0;
+        if (rng.Uniform() < 0.05) v = rng.Uniform() < 0.5 ? 0.0 : -0.0;
+      }
+    }
+    const TestResult result = TwoSampleKsTest(a, b);
+    EXPECT_EQ(result.statistic, ReferenceKsStatistic(a, b)) << trial;
+  }
+}
+
+// The merge used to spin forever on a NaN: `NaN <= value` never holds, so
+// neither cursor moved. Finite input stays a debug-build contract.
+TEST(KsTest, NaNInputTerminates) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> a = {0.1, nan, 0.4, 0.7, nan, 0.2};
+  const std::vector<double> b = {0.2, 0.3, 0.9};
+#ifdef NDEBUG
+  for (const auto& [x, y] : {std::pair(a, b), std::pair(b, a),
+                             std::pair(a, a)}) {
+    const TestResult result = TwoSampleKsTest(x, y);
+    EXPECT_GE(result.statistic, 0.0);
+    EXPECT_LE(result.statistic, 1.0);
+    EXPECT_GE(result.p_value, 0.0);
+    EXPECT_LE(result.p_value, 1.0);
+  }
+  // NaN ranks above every number and ties with NaN.
+  EXPECT_DOUBLE_EQ(TwoSampleKsTest(a, a).statistic, 0.0);
+  EXPECT_DOUBLE_EQ(TwoSampleKsTest({nan, nan}, {nan}).statistic, 0.0);
+  EXPECT_DOUBLE_EQ(TwoSampleKsTest({0.5, nan}, {0.5, 0.9}).statistic, 0.5);
+#else
+  EXPECT_DEATH(TwoSampleKsTest(a, b), "NaN/Inf");
+#endif
 }
 
 // ---------------------------------------------------------------------------
